@@ -38,55 +38,33 @@ Quick start::
     print(result.metrics.total_inversions, result.metrics.missed)
 """
 
-from .core import (
-    CascadedSFCConfig,
-    CascadedSFCScheduler,
-    DiskRequest,
-    Encapsulator,
-    EncodeContext,
-)
-from .disk import DiskModel, make_xp32150_disk
-from .obs import NULL_OBSERVER, Observer
-from .schedulers import Scheduler, make_baseline
-from .serve import (
-    AdmissionDecision,
-    ServerConfig,
-    ServerStats,
-    SessionManager,
-    StreamSpec,
-    StreamingServer,
-    VirtualClock,
-    make_admission,
-)
-from .sim import DiskService, SimulationResult, run_simulation
+import importlib
 
-# Imported after .sim: faults.injector needs repro.sim.service, while
-# repro.sim.array needs repro.faults — this order lets both resolve.
-from .faults import (
-    DiskFailure,
-    FaultInjector,
-    FaultPlan,
-    LatencySpike,
-    RetryPolicy,
-    ThermalRamp,
-    TransientErrors,
-)
-
-# Imported after .faults: both packages build on the fault plans.
-from .cluster import ClusterConfig, ClusterController, FleetReport
-from .parallel import (
-    ArrayCellSpec,
-    CellSpec,
-    ClusterCellSpec,
-    ParallelRunner,
-    ServeCellSpec,
-    SweepReport,
-    WorkerStats,
-    normalize_jobs,
-    run_cells,
-)
-from .sfc import lut_cache
-from .store import RunRecord, RunStore, SqliteRunStore, open_store
+# Public names and the subpackage that defines each.  Nothing is
+# imported until a name is first used (PEP 562), so a run that never
+# touches the serving, cluster or store tiers never loads them, nor
+# sqlite3 or multiprocessing.
+_EXPORTS = {
+    ".core": ("CascadedSFCConfig", "CascadedSFCScheduler", "DiskRequest",
+              "Encapsulator", "EncodeContext"),
+    ".disk": ("DiskModel", "make_xp32150_disk"),
+    ".obs": ("NULL_OBSERVER", "Observer"),
+    ".schedulers": ("Scheduler", "make_baseline"),
+    ".serve": ("AdmissionDecision", "ServerConfig", "ServerStats",
+               "SessionManager", "StreamSpec", "StreamingServer",
+               "VirtualClock", "make_admission"),
+    ".sim": ("DiskService", "SimulationResult", "run_simulation"),
+    ".faults": ("DiskFailure", "FaultInjector", "FaultPlan", "LatencySpike",
+                "RetryPolicy", "ThermalRamp", "TransientErrors"),
+    ".cluster": ("ClusterConfig", "ClusterController", "FleetReport"),
+    ".parallel": ("ArrayCellSpec", "CellSpec", "ClusterCellSpec",
+                  "ParallelRunner", "ServeCellSpec", "SweepReport",
+                  "WorkerStats", "normalize_jobs", "run_cells"),
+    ".sfc": ("lut_cache",),
+    ".store": ("RunRecord", "RunStore", "SqliteRunStore", "open_store"),
+}
+_MODULE_OF = {name: module
+              for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "1.0.0"
 
@@ -139,3 +117,16 @@ __all__ = [
     "run_simulation",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

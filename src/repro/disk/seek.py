@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SeekModel:
@@ -57,13 +59,21 @@ class SeekModel:
 def _mean_over_random_pairs(model: SeekModel) -> float:
     """E[seek(|c1 - c2|)] with c1, c2 uniform over the cylinders.
 
-    P(distance = d) = 2*(N - d)/N^2 for d >= 1 and 1/N for d = 0.
+    P(distance = d) = 2*(N - d)/N^2 for d >= 1 and 1/N for d = 0.  Each
+    term is ``(2.0*(N - d)/(N*N)) * seek(d)``, rounded exactly as the
+    scalar expression would be, and the terms are added strictly left
+    to right (``np.add.accumulate``, not the pairwise ``np.sum``) so the
+    result is the same float as a Python loop over ``d = 1..N-1``.
     """
     n = model.cylinders
-    total = 0.0
-    for d in range(1, n):
-        total += 2.0 * (n - d) / (n * n) * model.seek_of_distance(d)
-    return total
+    if n < 2:
+        return 0.0
+    d = np.arange(1, n, dtype=np.float64)
+    seek = np.where(d <= model.knee,
+                    model.settle_ms + model.sqrt_coeff * np.sqrt(d),
+                    model.linear_base + model.linear_coeff * d)
+    terms = 2.0 * (n - d) / float(n * n) * seek
+    return float(np.add.accumulate(terms)[-1])
 
 
 def fit_seek_model(cylinders: int, average_ms: float, maximum_ms: float,
@@ -74,6 +84,15 @@ def fit_seek_model(cylinders: int, average_ms: float, maximum_ms: float,
     The sqrt coefficient ``b`` is found by bisection so the expected seek
     over random request pairs equals ``average_ms``; the linear phase is
     then pinned by continuity at the knee and by the full-stroke maximum.
+
+    Bit-identity condition: the coefficients must equal, bit for bit,
+    those of this bisection over a sequential Python loop of the
+    per-distance terms (pinned in ``tests/test_disk_seek_rotation.py``).
+    That holds only while :func:`_mean_over_random_pairs` rounds every
+    term as the scalar expression does and adds the terms in order of
+    distance.  A pairwise sum or a closed-form solve for ``b`` lands on
+    a different last bit, and the simulator fingerprints and golden
+    traces record that bit.
     """
     if cylinders < 2:
         raise ValueError("need at least 2 cylinders to seek")

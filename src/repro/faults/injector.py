@@ -15,12 +15,15 @@ Two integration points:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.request import DiskRequest
 from repro.disk.disk import ServiceRecord
-from repro.sim.service import ServiceModel
 
 from .plan import FaultPlan
+
+if TYPE_CHECKING:
+    from repro.sim.service import ServiceModel
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -132,6 +131,10 @@ class ParallelRunner:
         if self.jobs == 1 or len(specs) <= 1:
             results = [worker(spec) for spec in specs]
         else:
+            # Imported here so a serial run never loads the process pool
+            # (concurrent.futures, multiprocessing).
+            from concurrent.futures import ProcessPoolExecutor
+
             chunksize = max(1, len(specs) // (self.jobs * 4))
             with ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(specs)),

@@ -14,9 +14,10 @@ dispatch time; queue-order policies simply pop their queue.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.core.request import DiskRequest
+if TYPE_CHECKING:
+    from repro.core.request import DiskRequest
 
 
 class Scheduler(ABC):

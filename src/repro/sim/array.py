@@ -34,17 +34,21 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.request import DiskRequest
 from repro.disk.disk import DiskModel, FILE_BLOCK_BYTES, make_xp32150_disk
 from repro.disk.raid import Raid5Array
-from repro.faults import DiskFailure, FaultPlan, RetryPolicy
 from repro.obs.observer import Observer, live
 from repro.schedulers.base import Scheduler
 
 from .engine import EventQueue
 from .metrics import MetricsCollector
+
+if TYPE_CHECKING:
+    # repro.faults builds on repro.sim.rng, so the fault types this
+    # module instantiates are imported where it does so.
+    from repro.faults import DiskFailure, FaultPlan, RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,8 @@ class _ArrayState:
         self.geometry_block = geometry_block
         self.logical_metrics = logical_metrics
         self.plan = plan
+        from repro.faults import RetryPolicy
+
         self.retry_policy = retry_policy or RetryPolicy()
         self.spare = spare
         self.remaining: dict[int, int] = {}  # logical id -> ops left
@@ -427,6 +433,8 @@ class _ArrayState:
     def schedule_rebuild(self, rebuild: RebuildConfig, dims: int,
                          priority_levels: int) -> None:
         """Pace rebuild stripes after every planned failure window."""
+        from repro.faults import DiskFailure
+
         windows: list[DiskFailure] = []
         if self.plan is not None:
             windows = self.plan.failure_windows()

@@ -6,11 +6,12 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.disk.rotation import RotationModel
-from repro.disk.seek import LinearSeekModel, SeekModel, fit_seek_model
+from repro.disk.seek import (LinearSeekModel, SeekModel,
+                             _mean_over_random_pairs, fit_seek_model)
 
 
 class TestFitSeekModel:
@@ -61,6 +62,70 @@ class TestFitSeekModel:
     def test_short_seeks_cheaper_than_max(self, distance):
         model = fit_seek_model(3832, 8.5, 18.0)
         assert 0 < model.seek_of_distance(distance) <= model.max_seek_ms
+
+
+def scalar_mean_over_random_pairs(model):
+    """Reference E[seek]: a per-distance Python loop, which the numpy
+    kernel must reproduce to the last bit."""
+    n = model.cylinders
+    total = 0.0
+    for d in range(1, n):
+        total += 2.0 * (n - d) / (n * n) * model.seek_of_distance(d)
+    return total
+
+
+def scalar_fit_seek_model(cylinders, average_ms, maximum_ms,
+                          settle_ms=1.5, knee_fraction=0.25):
+    """Reference fit: the 80-step bisection over the scalar loop."""
+    knee = max(1, int(cylinders * knee_fraction))
+
+    def build(b):
+        knee_time = settle_ms + b * math.sqrt(knee)
+        span = (cylinders - 1) - knee
+        if span <= 0:
+            return SeekModel(cylinders, settle_ms, b, knee_time, 0.0,
+                             cylinders - 1)
+        slope = (maximum_ms - knee_time) / span
+        base = knee_time - slope * knee
+        return SeekModel(cylinders, settle_ms, b, base, slope, knee)
+
+    lo, hi = 0.0, maximum_ms
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if scalar_mean_over_random_pairs(build(mid)) < average_ms:
+            lo = mid
+        else:
+            hi = mid
+    return build((lo + hi) / 2.0)
+
+
+class TestSeekCalibrationBitIdentity:
+    def test_xp32150_coefficients_pinned(self):
+        # Recorded from the scalar-loop fit; the simulator fingerprints
+        # and golden traces depend on every bit of these.
+        model = fit_seek_model(3832, 8.5, 18.0)
+        assert model.knee == 958
+        assert model.settle_ms.hex() == "0x1.8000000000000p+0"
+        assert model.sqrt_coeff.hex() == "0x1.889508fd18bfap-3"
+        assert model.linear_base.hex() == "0x1.f46df00abce1fp+1"
+        assert model.linear_coeff.hex() == "0x1.e214ffc9cf401p-9"
+
+    @seed(2004)
+    @given(cylinders=st.integers(min_value=2, max_value=6000),
+           maximum=st.floats(min_value=0.5, max_value=50.0),
+           fraction=st.floats(min_value=0.01, max_value=0.99))
+    @settings(max_examples=30, deadline=None)
+    def test_kernel_matches_scalar_loop(self, cylinders, maximum, fraction):
+        average = maximum * fraction
+        reference = scalar_fit_seek_model(cylinders, average, maximum)
+        assert fit_seek_model(cylinders, average, maximum) == reference
+        assert (_mean_over_random_pairs(reference)
+                == scalar_mean_over_random_pairs(reference))
+
+    def test_single_cylinder_has_no_seek(self):
+        model = SeekModel(cylinders=1, settle_ms=1.0, sqrt_coeff=0.5,
+                          linear_base=2.0, linear_coeff=0.05, knee=1)
+        assert _mean_over_random_pairs(model) == 0.0
 
 
 class TestLinearSeekModel:
