@@ -37,7 +37,7 @@ def characterize_batch(encapsulator: Encapsulator,
     """v_c of every request, identical to per-request characterize.
 
     ``nows`` optionally supplies one clock value *per request* (the
-    batched engine characterizes whole arrival spans at once, each
+    simulation loop characterizes whole arrival spans at once, each
     request as of its own arrival instant); when given it overrides
     ``ctx.now_ms`` element-wise.  Stage arithmetic is identical
     left-associated float64 either way, so per-request values are

@@ -1,25 +1,21 @@
 """Tracked hot-path benchmark baseline (``bench`` subcommand).
 
 Times the hot paths this repository optimizes -- curve batch indexing
-(LUT tier), batch characterization (stage-1 memo + vectorized stages),
-bulk queue re-keying, and the end-to-end simulator loop -- each
-against its pre-optimization equivalent, and *asserts the invariants
-that make the fast paths safe*:
+(LUT tier), batch characterization (stage-1 memo + vectorized stages)
+and bulk queue re-keying -- each against its pre-optimization
+equivalent, and *asserts the invariants that make the fast paths
+safe*:
 
 * every fast path is bit-identical to its scalar/naive counterpart,
 * bulk re-keys rebuild the heap once (``heapify_count``), not per item,
 * incremental re-characterization is idempotent (a second pass at the
   same instant re-keys nothing).
 
-The end-to-end comparison is split so one number never mixes two
-costs: ``end_to_end_cold`` times a single run per engine with the LUT
-evicted and the persistent tier forced off (full cold cost on the
-record), while ``end_to_end_warm`` pre-builds the LUT and races the
-batched SoA engine against the legacy event loop under sustained
-overload -- bit-identical metrics always, and a >=5x speedup on full
-runs.  ``run`` enables the repo-local persistent LUT cache
+``run`` enables the repo-local persistent LUT cache
 (:func:`repro.sfc.lut_cache.ensure_default`) for the duration unless
-the caller or environment already decided.
+the caller or environment already decided.  The simulation loop
+itself has no second implementation to race here; its bit-identity to
+the reference heap loop is checked by the tier-1 differential tests.
 
 Timings are recorded for tracking but never asserted -- wall clock is
 machine-dependent; the operation counts are not.  The full run writes
@@ -29,8 +25,7 @@ regressing by more than 25% is a failure); ``--quick`` runs a CI-sized
 instance.
 
 The ``parallel`` section covers :mod:`repro.parallel`: the process
-fan-out sweep must be bit-identical to serial at any worker count, the
-member-parallel array run must reproduce the serial metrics exactly,
+fan-out sweep must be bit-identical to serial at any worker count,
 and a warm persistent-LUT load must beat re-enumeration by >=10x.  The
 multi-worker *speedup* is only gated when the machine actually has
 four or more cores -- on smaller hosts it is recorded with the core
@@ -98,8 +93,6 @@ class BenchSpec:
     sweep_requests: int = 1_500
     #: Worker count of the timed parallel sweep arm.
     sweep_jobs: int = 4
-    #: Logical requests of the member-parallel array comparison.
-    array_requests: int = 300
     #: Grid dims of the persistent-LUT cache probe (16 levels); big
     #: enough that enumeration visibly dominates a warm load.
     cache_lut_dims: int = 4
@@ -126,7 +119,6 @@ class BenchSpec:
             sim_requests=600,
             repeats=2,
             sweep_requests=500,
-            array_requests=150,
             cache_lut_dims=3,
             cluster_arrays=(16, 32),
             cluster_users_per_array=150,
@@ -330,113 +322,6 @@ def bench_queue(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
         {
             "queue.same_pop_order": naive_order == bulk_order,
             "queue.single_heapify": heapifies == 1,
-        },
-    )
-
-
-def _e2e_workload(spec: BenchSpec) -> list:
-    """Sustained-load workload for the end-to-end engine comparison.
-
-    Utilization sits above 1 (1.6 ms inter-arrivals against 2 ms
-    service), so queues build the way the paper's overload studies
-    assume -- exactly the regime where the legacy loop's per-dispatch
-    O(queue x dims) inversion scan dominates and the SoA engine's
-    ledger pays off.
-    """
-    return PoissonWorkload(
-        count=spec.sim_requests,
-        mean_interarrival_ms=1.6,
-        priority_dims=3,
-        priority_levels=16,
-        deadline_range_ms=(200.0, 1200.0),
-    ).generate(spec.seed)
-
-
-def _e2e_run(requests, engine: str):
-    return run_simulation(requests, _scheduler("diagonal"),
-                          constant_service(2.0), priority_levels=16,
-                          engine=engine)
-
-
-def _e2e_fingerprint(result) -> tuple:
-    from repro.parallel.cells import metrics_fingerprint
-    return (result.scheduler_name, result.submitted, result.unserved,
-            metrics_fingerprint(result.metrics))
-
-
-def bench_end_to_end_cold(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
-    """One cold ``run_simulation`` per engine, LUT build included.
-
-    The persistent tier is forced off and the in-process LUT evicted
-    before each run, so the numbers carry the full cold cost the old
-    ``end_to_end`` section silently mixed into every repeat.  Cold is
-    one-shot by definition; warm throughput lives in
-    :func:`bench_end_to_end_warm`.
-    """
-    from repro.sfc import lut_cache
-
-    requests = _e2e_workload(spec)
-    scheduler = _scheduler("diagonal")
-    curve = scheduler.encapsulator.stage1.curve
-    previous = lut_cache.configured()
-    lut_cache.configure("")
-    try:
-        clear_lut_cache(curve)
-        legacy_s, legacy = _best_of(
-            lambda: _e2e_run(requests, "legacy"), 1)
-        clear_lut_cache(curve)
-        batched_s, batched = _best_of(
-            lambda: _e2e_run(requests, "batched"), 1)
-    finally:
-        lut_cache.configure(previous)
-    return (
-        {
-            "requests": spec.sim_requests,
-            "legacy_s": legacy_s,
-            "batched_s": batched_s,
-            "speedup": (legacy_s / batched_s
-                        if batched_s > 0 else float("inf")),
-        },
-        {"end_to_end_cold.bit_identical": (
-            _e2e_fingerprint(legacy) == _e2e_fingerprint(batched)
-        )},
-    )
-
-
-def bench_end_to_end_warm(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
-    """Warm-path ``run_simulation``: batched SoA engine vs legacy.
-
-    The LUT is pre-built before timing starts, so the comparison is
-    pure engine cost.  The batched engine must reproduce the legacy
-    metrics fingerprint exactly, and -- on full runs, where the
-    problem size makes wall clock meaningful -- must clear a 5x
-    speedup (the ROADMAP's end-to-end hot-path target).
-    """
-    requests = _e2e_workload(spec)
-    curve = _scheduler("diagonal").encapsulator.stage1.curve
-    curve_lut(curve, force=True)  # warm the in-process table
-
-    legacy_s, legacy = _best_of(
-        lambda: _e2e_run(requests, "legacy"), spec.repeats)
-    batched_s, batched = _best_of(
-        lambda: _e2e_run(requests, "batched"), spec.repeats)
-    speedup = legacy_s / batched_s if batched_s > 0 else float("inf")
-    full_run = spec.repeats >= 3
-    return (
-        {
-            "requests": spec.sim_requests,
-            "legacy_s": legacy_s,
-            "batched_s": batched_s,
-            "speedup": speedup,
-            "speedup_gated": full_run,
-        },
-        {
-            "end_to_end_warm.bit_identical": (
-                _e2e_fingerprint(legacy) == _e2e_fingerprint(batched)
-            ),
-            "end_to_end_warm.batched_5x": (
-                speedup >= 5.0 if full_run else True
-            ),
         },
     )
 
@@ -677,27 +562,21 @@ def bench_store(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
 
 
 def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
-    """The three tiers of ``repro.parallel``, each against serial.
+    """The two tiers of ``repro.parallel``, each against serial.
 
     * **sweep** -- a fig5-shaped (scheduler x curve x fraction) grid run
       serially and with ``spec.sweep_jobs`` worker processes; results
       must be bit-identical (the determinism contract), and the fan-out
       must reach a 2x speedup -- gated only on hosts with >= 4 cores,
       recorded (with the core count) everywhere else.
-    * **array** -- one RAID-5 run under a mixed fault plan with
-      ``member_jobs=2`` against the serial engine; every logical and
-      per-member metric must match exactly.
     * **lut_cache** -- cold enumeration of a 16-level diagonal grid into
       a temporary persistent cache vs a warm load from it; the load
       must be >= 10x faster and must register as a cache hit.
     """
     import tempfile
 
-    from repro.faults import (DiskFailure, FaultPlan, LatencySpike,
-                              RetryPolicy, TransientErrors)
-    from repro.parallel import (ArrayCellSpec, ArrayWorkload, CellSpec,
-                                baseline, cascaded, metrics_fingerprint,
-                                run_array_cell, run_cell, run_cells)
+    from repro.parallel import (CellSpec, baseline, cascaded,
+                                metrics_fingerprint, run_cell, run_cells)
     from repro.sfc import lut_cache
 
     cores = os.cpu_count() or 1
@@ -712,15 +591,9 @@ def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
         priority_levels=8,
         deadline_range_ms=(300.0, 900.0),
     )
-    # Cells pin the legacy engine: the tier under test is the process
-    # fan-out, and its speedup gate was calibrated on legacy-cost
-    # cells -- an ambient REPRO_SIM_ENGINE=batched (the CLI default)
-    # would shrink per-cell work until pool overhead dominates the
-    # ratio.
     cells = [CellSpec(label=("fifo",), workload=workload, seed=spec.seed,
                       scheduler=baseline("fcfs"),
-                      service=("constant", 8.0), priority_levels=8,
-                      engine="legacy")]
+                      service=("constant", 8.0), priority_levels=8)]
     for curve in ("sweep", "hilbert", "diagonal"):
         for fraction in (0.05, 0.2):
             config = CascadedSFCConfig(
@@ -731,7 +604,6 @@ def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
                 label=(curve, fraction), workload=workload,
                 seed=spec.seed, scheduler=cascaded(config),
                 service=("constant", 8.0), priority_levels=8,
-                engine="legacy",
             ))
 
     def cell_fingerprints(results) -> list[tuple]:
@@ -756,51 +628,7 @@ def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
         "speedup_gated": cores >= 4,
     })
 
-    # -- tier 2: member-parallel array execution ---------------------------
-    plan = FaultPlan([
-        DiskFailure(disk=1, start_ms=150.0, end_ms=400.0),
-        TransientErrors(disk=3, start_ms=100.0, end_ms=600.0,
-                        probability=0.25),
-        LatencySpike(disk=0, start_ms=0.0, end_ms=300.0, extra_ms=4.0),
-    ], seed=spec.seed)
-    # Engine pinned to legacy on both arms: this tier times the
-    # thread-windowed member engine against the serial loop, which an
-    # ambient REPRO_SIM_ENGINE=batched (the CLI default) would
-    # otherwise silently replace with the batched array engine.
-    array_cell = ArrayCellSpec(
-        label=("array",),
-        workload=ArrayWorkload(count=spec.array_requests),
-        seed=spec.seed,
-        scheduler=baseline("scan", priority_levels=4),
-        priority_levels=4,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(),
-        engine="legacy",
-    )
-    array_serial_s, array_serial = _best_of(
-        lambda: run_array_cell(array_cell), 1)
-    array_member_s, array_member = _best_of(
-        lambda: run_array_cell(replace(array_cell, member_jobs=2)), 1)
-
-    def array_fingerprint(result) -> tuple:
-        return (metrics_fingerprint(result.logical_metrics),
-                result.physical_ops, result.retries,
-                result.failed_logical, result.member_fingerprints)
-
-    invariants["parallel.array.same_metrics"] = (
-        array_fingerprint(array_serial) == array_fingerprint(array_member)
-    )
-    section["rows"].append({
-        "label": "array", "requests": spec.array_requests,
-        "physical_ops": array_serial.physical_ops,
-        "retries": array_serial.retries,
-        "serial_s": array_serial_s, "member2_s": array_member_s,
-        # Lane advancement is GIL-bound: tracked, not gated.
-        "speedup": (array_serial_s / array_member_s
-                    if array_member_s > 0 else float("inf")),
-    })
-
-    # -- tier 3: persistent LUT cache --------------------------------------
+    # -- tier 2: persistent LUT cache --------------------------------------
     curve = get_curve("diagonal", spec.cache_lut_dims, 16)
     loads0 = LUT_STATS.disk_loads
     previous_cache = lut_cache.configured()
@@ -1158,8 +986,6 @@ SECTIONS = (
     ("curve_batch", bench_curve_batch),
     ("characterize", bench_characterize),
     ("queue", bench_queue),
-    ("end_to_end_cold", bench_end_to_end_cold),
-    ("end_to_end_warm", bench_end_to_end_warm),
     ("recharacterize", bench_recharacterize),
     ("observability", bench_observability),
     ("store", bench_store),
@@ -1291,8 +1117,8 @@ def run(spec: BenchSpec = BenchSpec()) -> dict:
         "sections": {},
         "invariants": {},
     }
-    # Amortize LUT builds across sections and runs (the warm section
-    # measures engine cost, not enumeration); restore whatever the
+    # Amortize LUT builds across sections and runs (the sections
+    # measure their hot paths, not enumeration); restore whatever the
     # caller had configured afterwards.
     from repro.sfc import lut_cache
     previous_cache = lut_cache.ensure_default()

@@ -11,10 +11,13 @@ Usage::
     python -m repro.experiments cluster [--quick] [--jobs N]
 
 Every simulation-running subcommand accepts ``--engine
-{legacy,batched}``.  CLI runs default to the batched SoA engine
-(bit-identical results, several times faster); an explicit ``--engine``
-wins over ``$REPRO_SIM_ENGINE``, which wins over the default.  The
-library default for :func:`repro.sim.run_simulation` remains legacy.
+{legacy,batched}``, which selects the *serving* loop
+(:class:`repro.serve.StreamingServer`, used by ``serve``, ``obs``,
+``faults`` and ``cluster``).  CLI runs default to the batched loop
+(bit-identical results, faster); an explicit ``--engine`` wins over
+``$REPRO_SIM_ENGINE``, which wins over the default.  The offline
+simulator and the RAID-5 array have a single loop each and ignore the
+flag.
 """
 
 from __future__ import annotations
@@ -308,16 +311,18 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
     )
-    # Shared by every simulation-running subcommand.  CLI runs default
-    # to the batched SoA engine (bit-identical to legacy, several times
-    # faster); precedence is --engine > $REPRO_SIM_ENGINE > batched.
-    # Library callers of run_simulation are unaffected (their default
-    # stays legacy unless the environment says otherwise).
+    # Shared by every simulation-running subcommand.  --engine picks
+    # the serving loop; CLI runs default to the batched one
+    # (bit-identical to legacy, faster); precedence is --engine >
+    # $REPRO_SIM_ENGINE > batched.  Library StreamingServer callers
+    # are unaffected (their default stays legacy unless the
+    # environment says otherwise).
     engine_parent = argparse.ArgumentParser(add_help=False)
     engine_parent.add_argument(
         "--engine", choices=("legacy", "batched"), default=None,
-        help="simulation engine (default: $REPRO_SIM_ENGINE, "
-             "else batched; results are bit-identical)")
+        help="serving loop of StreamingServer runs (default: "
+             "$REPRO_SIM_ENGINE, else batched; results are "
+             "bit-identical); offline sim and array runs have one loop")
     # Recording is opt-in per run (--record), implied by an explicit
     # --store PATH, or ambient for a whole session ($REPRO_STORE).
     engine_parent.add_argument(
@@ -467,10 +472,10 @@ def main(argv: list[str] | None = None) -> int:
     # process use and for main(argv) callers like the tests).
     args.argv_ = tuple(sys.argv[1:] if argv is None else argv)
 
-    # Engine precedence for CLI runs: --engine > $REPRO_SIM_ENGINE >
-    # batched.  Routed through the environment so worker processes
-    # (--jobs N) inherit the choice; sections that pin an engine
-    # explicitly (the bench before/after arms) still win, because
+    # Serving-loop precedence for CLI runs: --engine >
+    # $REPRO_SIM_ENGINE > batched.  Routed through the environment so
+    # worker processes (--jobs N) inherit the choice; sections that pin
+    # an engine explicitly (the bench serve arms) still win, because
     # resolve_engine prefers an explicit argument over the environment.
     engine = getattr(args, "engine", None)
     if engine is not None:

@@ -10,10 +10,10 @@ canonical trace bytes, report, and observability payloads into a
   label/date;
 * ``history show <run>`` — full provenance of one run;
 * ``history replay <run>`` — re-executes from the stored config +
-  seeds with the *recorded* engine pinned, and asserts byte-identity
-  of the regenerated trace against the stored one (exit 1 on
-  divergence, and on a tampered/corrupt entry, which is detected from
-  the fingerprint before anything re-executes);
+  seeds with the *recorded* serving engine pinned, and asserts
+  byte-identity of the regenerated trace against the stored one (exit
+  1 on divergence, and on a tampered/corrupt entry, which is detected
+  from the fingerprint before anything re-executes);
 * ``history diff <a> <b>`` — config, QoS, per-phase latency
   percentile, and outcome-counter deltas (``--bench``: the committed
   baseline speedup trajectory instead).
@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import sys
 import time
 from contextlib import contextmanager
 from typing import Callable
@@ -65,10 +64,11 @@ def _silent(*args, **kwargs) -> None:
 def pinned_engine(engine: str | None):
     """Run with ``$REPRO_SIM_ENGINE`` forced to the recorded engine.
 
-    Replay must reproduce the run *as recorded*: a run captured under
-    ``engine=legacy`` re-executes legacy even when the ambient CLI
-    default has moved on to batched.  ``None`` (nothing recorded)
-    leaves the environment alone.
+    Replay must reproduce the run *as recorded*: a serving run captured
+    under ``engine=legacy`` re-executes the legacy serving loop even
+    when the ambient CLI default has moved on to batched.  Offline sim
+    and array runs have one loop, so for them the tag is provenance
+    only.  ``None`` (nothing recorded) leaves the environment alone.
     """
     if engine is None:
         yield

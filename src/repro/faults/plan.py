@@ -33,7 +33,9 @@ from typing import Iterator, Sequence, Union
 from repro.sim.rng import derive
 
 
-def _check_window(start_ms: float, end_ms: float) -> None:
+def _check_fault(disk: int, start_ms: float, end_ms: float) -> None:
+    if disk < 0:
+        raise ValueError(f"fault disk must be >= 0, got {disk}")
     if not (start_ms >= 0 and end_ms > start_ms):
         raise ValueError(
             f"fault window must satisfy 0 <= start < end, "
@@ -51,7 +53,7 @@ class LatencySpike:
     extra_ms: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start_ms, self.end_ms)
+        _check_fault(self.disk, self.start_ms, self.end_ms)
         if self.extra_ms < 0:
             raise ValueError("extra_ms must be non-negative")
 
@@ -66,7 +68,7 @@ class TransientErrors:
     probability: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start_ms, self.end_ms)
+        _check_fault(self.disk, self.start_ms, self.end_ms)
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
 
@@ -80,7 +82,7 @@ class DiskFailure:
     end_ms: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start_ms, self.end_ms)
+        _check_fault(self.disk, self.start_ms, self.end_ms)
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class ThermalRamp:
     peak_factor: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start_ms, self.end_ms)
+        _check_fault(self.disk, self.start_ms, self.end_ms)
         if self.peak_factor < 1.0:
             raise ValueError("peak_factor must be >= 1")
 

@@ -1,12 +1,10 @@
 """Deterministic parallel execution layer (PR 5).
 
-Three tiers, one determinism contract — a parallel run's tables,
+Two tiers, one determinism contract — a parallel run's tables,
 metrics and traces are bit-identical to the serial run's:
 
 * :class:`~repro.parallel.runner.ParallelRunner` — process-level
   fan-out of experiment grid cells (``--jobs`` on the experiment CLI).
-* ``member_jobs`` on :func:`repro.sim.array.run_array_simulation` —
-  member-parallel array execution (:mod:`repro.sim.members`).
 * :mod:`repro.sfc.lut_cache` — the persistent curve-LUT tier that
   workers share instead of re-enumerating curves per process.
 """

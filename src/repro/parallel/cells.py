@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import CascadedSFCConfig
 from repro.core.scheduler import CascadedSFCScheduler
@@ -148,11 +148,6 @@ class CellSpec:
     service: tuple = ("constant", 50.0)
     drop_expired: bool = False
     priority_levels: int = 16
-    #: Simulation engine ("legacy" | "batched"); None defers to
-    #: ``$REPRO_SIM_ENGINE`` exactly like ``run_simulation``.  Results
-    #: are bit-identical either way; pin it when the *timing* of a
-    #: specific engine is the point (the bench does).
-    engine: str | None = None
 
 
 @dataclass(frozen=True)
@@ -190,7 +185,6 @@ def run_cell(spec: CellSpec) -> CellResult:
         make_service(spec.service),
         drop_expired=spec.drop_expired,
         priority_levels=spec.priority_levels,
-        engine=spec.engine,
     )
     return CellResult(
         label=spec.label,
@@ -255,14 +249,6 @@ class ArrayCellSpec:
     priority_levels: int = 4
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None
-    #: Member-level concurrency inside the worker (tier 2); None keeps
-    #: the serial engine.
-    member_jobs: int | None = None
-    #: Array engine ("legacy" | "batched"); None defers to
-    #: ``$REPRO_SIM_ENGINE`` exactly like ``run_array_simulation``.
-    #: Results are bit-identical either way; pin it when the *timing*
-    #: of a specific engine is the point (the bench does).
-    engine: str | None = None
 
 
 @dataclass(frozen=True)
@@ -292,8 +278,6 @@ def run_array_cell(spec: ArrayCellSpec) -> ArrayCellResult:
         priority_levels=spec.priority_levels,
         fault_plan=spec.fault_plan,
         retry_policy=spec.retry_policy,
-        member_jobs=spec.member_jobs,
-        engine=spec.engine,
     )
     return ArrayCellResult(
         label=spec.label,

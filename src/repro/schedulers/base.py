@@ -49,7 +49,7 @@ class Scheduler(ABC):
 
         ``nows`` holds one timestamp per request (non-decreasing).
         Semantically identical to calling :meth:`submit` in order; the
-        batched engine uses this for arrival spans that fall inside one
+        simulation loop uses this for arrival spans that fall inside one
         busy period, where the head position is constant.  Vectorizing
         schedulers override it (see
         :meth:`repro.core.CascadedSFCScheduler.submit_many`).

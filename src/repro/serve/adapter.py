@@ -98,8 +98,7 @@ def replay_ramp_offline(events: Sequence[RampEvent],
                         until_ms: float,
                         drop_expired: bool = True,
                         priority_levels: int = 8,
-                        record_timeline: bool = False,
-                        engine: str | None = None) -> OfflineRamp:
+                        record_timeline: bool = False) -> OfflineRamp:
     """Replay the ramp's admission decisions, then simulate offline.
 
     Mirrors the online decision path for load-independent policies: the
@@ -140,7 +139,6 @@ def replay_ramp_offline(events: Sequence[RampEvent],
         drop_expired=drop_expired,
         priority_levels=priority_levels,
         record_timeline=record_timeline,
-        engine=engine,
     )
     return OfflineRamp(decisions=decisions, requests=requests,
                        result=result)

@@ -1,7 +1,6 @@
 """Event-driven disk-server simulator and metrics."""
 
 from .array import ArrayResult, LogicalRequest, run_array_simulation
-from .batched import run_batched_simulation
 from .engine import EventQueue, EventToken
 from .metrics import MetricsCollector, linear_weights
 from .soa import InversionLedger, RequestColumns
@@ -51,7 +50,6 @@ __all__ = [
     "priority_scaled_service",
     "resolve_engine",
     "run_array_simulation",
-    "run_batched_simulation",
     "run_simulation",
     "summarize_metrics",
 ]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.request import DiskRequest
@@ -135,7 +135,17 @@ class _FaultTallies:
 
 
 class _ArrayState:
-    """Shared bookkeeping for one array run."""
+    """Shared bookkeeping for one array run.
+
+    Logical arrivals stay in their sorted column and member completions
+    live on per-member *lanes* (at most one in-flight op each, kept on
+    a ``(busy-until, sequence, lane)`` heap); only the genuinely dynamic
+    events -- retries, rebuild stripes, refresh ticks -- go on the
+    :class:`~repro.sim.engine.EventQueue`.  Arrivals and completions
+    reserve queue sequence numbers where they are scheduled, so every
+    ``(time, sequence)`` tie between the three sources resolves in
+    scheduling order (see :meth:`run`).
+    """
 
     def __init__(self, members: list[_MemberDisk], raid: Raid5Array,
                  queue: EventQueue, geometry_block: Callable[[int], int],
@@ -173,6 +183,21 @@ class _ArrayState:
         #: watched for stats but not bound (physical ops never reach a
         #: terminal span phase of their own).
         self.obs = observer
+        all_members = self._all_members()
+        self._lane_member: list[_MemberDisk] = all_members
+        #: (request, started) of the in-flight op, per lane.
+        self._inflight: list[tuple[DiskRequest, float] | None] = (
+            [None] * len(all_members))
+        #: (busy-until, sequence, lane) heap of in-flight completions.
+        #: Each member holds at most one in-flight op and an op, once
+        #: dispatched, always reaches its completion instant, so an
+        #: entry is never stale: push at dispatch, pop at fire.
+        self._lane_heap: list[tuple[float, int, int]] = []
+        #: Busy count over the *array* members only: logical arrivals
+        #: never submit to the spare (rebuild traffic does, via heap
+        #: events), so the arrival-epoch invariant needs exactly the
+        #: array members busy, spare state notwithstanding.
+        self._busy_array = 0
 
     # -- periodic re-characterization -------------------------------------
 
@@ -322,6 +347,14 @@ class _ArrayState:
 
     # -- physical dispatch ------------------------------------------------
 
+    def lane_key(self) -> tuple[float, int, int] | None:
+        """(time, sequence, lane) of the earliest completion."""
+        return self._lane_heap[0] if self._lane_heap else None
+
+    def all_busy(self) -> bool:
+        """Every array member has an in-flight op (spare excluded)."""
+        return self._busy_array == len(self.members)
+
     def dispatch(self, member: _MemberDisk) -> None:
         while not member.busy:
             now = self.queue.now
@@ -347,40 +380,46 @@ class _ArrayState:
                                       total_ms - record.seek_ms
                                       - record.latency_ms)
             member.busy = True
-            started = now
             completion = now + total_ms
-
-            def complete(member: _MemberDisk = member,
-                         physical: DiskRequest = physical,
-                         started: float = started) -> None:
-                member.busy = False
-                now = self.queue.now
-                member.scheduler.on_served(physical, now)
-                failed_mid_flight = (
-                    self._member_failed(member.index, now)
-                    or (self.plan is not None
-                        and self.plan.failed_during(member.index,
-                                                    started, now))
-                )
-                transient = (
-                    not failed_mid_flight
-                    and self.plan is not None
-                    and self.plan.attempt_fails(
-                        member.index, physical.request_id, 1, started
-                    )
-                )
-                if failed_mid_flight or transient:
-                    self._op_failed(physical)
-                else:
-                    member.metrics.on_complete(physical, now)
-                    meta = self.op_meta.pop(physical.request_id, None)
-                    if meta is not None:
-                        logical_id, epoch = meta
-                        self.finish_op(logical_id, epoch)
-                self.dispatch(member)
-
-            self.queue.schedule(completion, complete)
+            sequence = self.queue.reserve_sequences(1)
+            self._inflight[member.index] = (physical, now)
+            heapq.heappush(self._lane_heap,
+                           (completion, sequence, member.index))
+            if member is not self.spare:
+                self._busy_array += 1
             return
+
+    def complete_lane(self, lane: int) -> None:
+        """Fire lane ``lane``'s due completion and dispatch its next op."""
+        member = self._lane_member[lane]
+        physical, started = self._inflight[lane]  # type: ignore[misc]
+        self._inflight[lane] = None
+        if member is not self.spare:
+            self._busy_array -= 1
+        member.busy = False
+        now = self.queue.now
+        member.scheduler.on_served(physical, now)
+        failed_mid_flight = (
+            self._member_failed(member.index, now)
+            or (self.plan is not None
+                and self.plan.failed_during(member.index, started, now))
+        )
+        transient = (
+            not failed_mid_flight
+            and self.plan is not None
+            and self.plan.attempt_fails(
+                member.index, physical.request_id, 1, started
+            )
+        )
+        if failed_mid_flight or transient:
+            self._op_failed(physical)
+        else:
+            member.metrics.on_complete(physical, now)
+            meta = self.op_meta.pop(physical.request_id, None)
+            if meta is not None:
+                logical_id, epoch = meta
+                self.finish_op(logical_id, epoch)
+        self.dispatch(member)
 
     def _op_failed(self, physical: DiskRequest) -> None:
         """A physical op failed: retry its logical parent (if live)."""
@@ -475,221 +514,68 @@ class _ArrayState:
                 logical_id=-1, epoch=0, is_write=True,
             )
 
+    # -- the event loop ----------------------------------------------------
 
-class _BatchedArrayState(_ArrayState):
-    """Array bookkeeping with the member lanes held as SoA columns.
+    def run(self, ordered: Sequence[LogicalRequest]) -> None:
+        """Replay ``ordered`` (arrival-sorted) to exhaustion.
 
-    The legacy :meth:`_ArrayState.dispatch` schedules one ``complete``
-    closure per physical operation on the event heap; this subclass
-    instead records the in-flight completion in
-    :class:`repro.sim.soa.MemberColumns` — per-member busy-until and
-    sequence columns plus retry/rebuild ledger columns — and the
-    batched pump (:func:`_run_batched_array`) fires lane completions
-    from one vectorized column minimum.  ``reserve_sequences(1)`` at
-    the dispatch point draws the exact sequence number the legacy
-    ``queue.schedule`` call would have, so every (time, sequence) tie
-    against retries, rebuild stripes and refresh ticks resolves
-    identically and the run is bit-identical by construction.
-    """
+        The next event is a three-way minimum over (time, sequence)
+        keys: the next arrival, the earliest lane completion and the
+        queue's head.  The arrivals reserve one sequence block here,
+        after any rebuild stripes were scheduled and before anything
+        else, so every tie (rebuild before arrival, arrival before
+        completion, completion before retry) resolves in scheduling
+        order.
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        from .soa import MemberColumns
-        all_members = self._all_members()
-        self.columns = MemberColumns.for_members(len(all_members))
-        self._lane_member: list[_MemberDisk] = all_members
-        #: (request, started) of the in-flight op, per lane.
-        self._inflight: list[tuple[DiskRequest, float] | None] = (
-            [None] * len(all_members))
-        #: (busy-until, sequence, lane) heap mirroring the busy
-        #: columns.  Each member holds at most one in-flight op and an
-        #: op, once dispatched, always reaches its completion instant,
-        #: so the mirror is never stale: push at dispatch, pop at fire.
-        self._lane_heap: list[tuple[float, int, int]] = []
-        #: Busy count over the *array* members only: logical arrivals
-        #: never submit to the spare (rebuild traffic does, via heap
-        #: events), so the arrival-epoch invariant needs exactly the
-        #: array members busy, spare state notwithstanding.
-        self._busy_array = 0
-        self._rebuild_stripe_no: int | None = None
-
-    # -- lane bookkeeping --------------------------------------------------
-
-    def lane_key(self) -> tuple[float, int, int] | None:
-        """(time, sequence, lane) of the earliest completion."""
-        return self._lane_heap[0] if self._lane_heap else None
-
-    def all_busy(self) -> bool:
-        """Every array member has an in-flight op (spare excluded)."""
-        return self._busy_array == len(self.members)
-
-    def dispatch(self, member: _MemberDisk) -> None:
-        while not member.busy:
-            now = self.queue.now
-            physical = member.scheduler.next_request(
-                now, member.disk.head_cylinder
-            )
-            if physical is None:
-                return
-            if self._member_failed(member.index, now):
-                member.scheduler.on_served(physical, now)
-                self.columns.ops_failed[member.index] += 1
-                self._op_failed(physical)
-                continue
-            member.metrics.on_dispatch(physical, member.scheduler.pending())
-            record = member.disk.serve(physical.cylinder, physical.nbytes)
-            total_ms = record.total_ms
-            if self.plan is not None:
-                total_ms += self.plan.service_penalty_ms(
-                    member.index, now, record.total_ms
-                )
-            member.metrics.on_service(record.seek_ms, record.latency_ms,
-                                      total_ms - record.seek_ms
-                                      - record.latency_ms)
-            member.busy = True
-            completion = now + total_ms
-            sequence = self.queue.reserve_sequences(1)
-            columns = self.columns
-            columns.busy_until_ms[member.index] = completion
-            columns.busy_seq[member.index] = sequence
-            columns.ops_dispatched[member.index] += 1
-            self._inflight[member.index] = (physical, now)
-            heapq.heappush(self._lane_heap,
-                           (completion, sequence, member.index))
-            if member is not self.spare:
-                self._busy_array += 1
-            return
-
-    def complete_lane(self, lane: int) -> None:
-        """Fire lane ``lane``'s due completion — the legacy ``complete``
-        closure inlined, with the lane columns cleared first."""
-        member = self._lane_member[lane]
-        physical, started = self._inflight[lane]  # type: ignore[misc]
-        self._inflight[lane] = None
-        columns = self.columns
-        columns.busy_until_ms[lane] = math.inf
-        columns.busy_seq[lane] = -1
-        if member is not self.spare:
-            self._busy_array -= 1
-        member.busy = False
-        now = self.queue.now
-        member.scheduler.on_served(physical, now)
-        failed_mid_flight = (
-            self._member_failed(member.index, now)
-            or (self.plan is not None
-                and self.plan.failed_during(member.index, started, now))
-        )
-        transient = (
-            not failed_mid_flight
-            and self.plan is not None
-            and self.plan.attempt_fails(
-                member.index, physical.request_id, 1, started
-            )
-        )
-        if failed_mid_flight or transient:
-            columns.ops_failed[lane] += 1
-            self._op_failed(physical)
-        else:
-            member.metrics.on_complete(physical, now)
-            meta = self.op_meta.pop(physical.request_id, None)
-            if meta is not None:
-                logical_id, epoch = meta
-                self.finish_op(logical_id, epoch)
-        self.dispatch(member)
-
-    # -- ledger columns ----------------------------------------------------
-
-    def _submit_physical(self, member: _MemberDisk, *, cylinder: int,
-                         nbytes: int, deadline_ms: float,
-                         priorities: tuple[int, ...], logical_id: int,
-                         epoch: int, is_write: bool) -> None:
-        if logical_id < 0:
-            columns = self.columns
-            columns.rebuild_ops[member.index] += 1
-            stripe = self._rebuild_stripe_no
-            if stripe is not None:
-                columns.stripe_epoch[member.index] = max(
-                    int(columns.stripe_epoch[member.index]), stripe + 1
-                )
-        super()._submit_physical(member, cylinder=cylinder, nbytes=nbytes,
-                                 deadline_ms=deadline_ms,
-                                 priorities=priorities,
-                                 logical_id=logical_id, epoch=epoch,
-                                 is_write=is_write)
-
-    def _rebuild_stripe(self, stripe: int, window: DiskFailure,
-                        lowest: tuple[int, ...]) -> None:
-        self._rebuild_stripe_no = stripe
-        try:
-            super()._rebuild_stripe(stripe, window, lowest)
-        finally:
-            self._rebuild_stripe_no = None
-
-
-def _run_batched_array(queue: EventQueue, state: _BatchedArrayState,
-                       ordered: Sequence[LogicalRequest]) -> None:
-    """Drive the array run over SoA lanes and a sorted arrival column.
-
-    The batched engine's counterpart of the legacy per-request event
-    heap: arrivals stay in their sorted column, member completions
-    live on the lane columns, and only the genuinely dynamic events
-    (retries, rebuild stripes, refresh ticks) remain on the heap.  The
-    next event is a three-way minimum over (time, sequence) keys —
-    the pump reserves the exact sequence-number block the legacy loop
-    would have assigned to the arrivals, and dispatch reserves each
-    completion's number at the legacy scheduling point, so every tie
-    (rebuild before arrival, arrival before completion, completion
-    before retry) resolves identically and the run is bit-identical
-    by construction.
-
-    While every lane is busy and the refresh timer is already armed
-    (or impossible), a logical arrival is a pure scheduler submit that
-    can move neither the lane minimum nor the heap head, so the whole
-    arrival span strictly inside the current barrier is replayed in
-    one epoch without recomputing the minimum.
-    """
-    times = [max(request.arrival_ms, 0.0) for request in ordered]
-    base = queue.reserve_sequences(len(ordered))
-    i = 0
-    n = len(ordered)
-    refresh_off = state.recharacterize_every_ms is None
-    while True:
-        kind = None
-        key: tuple[float, int] = (0.0, 0)
-        if i < n:
-            kind, key = "arrival", (times[i], base + i)
-        lane = state.lane_key()
-        if lane is not None and (kind is None or lane[:2] < key):
-            kind, key = "lane", lane[:2]
-        heap_key = queue.peek_key()
-        if heap_key is not None and (kind is None or heap_key < key):
-            kind, key = "heap", heap_key
-        if kind is None:
-            return
-        if kind == "arrival":
-            queue.advance_to(times[i])
-            state.submit_logical(ordered[i])
-            i += 1
-            if i >= n or not state.all_busy() or not (
-                    refresh_off or state._refresh_armed):
-                continue
-            # Busy epoch: arrivals strictly inside the barrier are
-            # pure submits.  Ties at the barrier instant fall back to
-            # the exact key comparison above.
-            barrier = state.lane_key()[0]  # all busy => lanes exist
+        While every lane is busy and the refresh timer is already armed
+        (or impossible), a logical arrival is a pure scheduler submit
+        that can move neither the lane minimum nor the queue head, so
+        the whole arrival span strictly inside the current barrier is
+        replayed in one epoch without recomputing the minimum.
+        """
+        queue = self.queue
+        times = [max(request.arrival_ms, 0.0) for request in ordered]
+        base = queue.reserve_sequences(len(ordered))
+        i = 0
+        n = len(ordered)
+        refresh_off = self.recharacterize_every_ms is None
+        while True:
+            kind = None
+            key: tuple[float, int] = (0.0, 0)
+            if i < n:
+                kind, key = "arrival", (times[i], base + i)
+            lane = self.lane_key()
+            if lane is not None and (kind is None or lane[:2] < key):
+                kind, key = "lane", lane[:2]
             heap_key = queue.peek_key()
-            if heap_key is not None and heap_key[0] < barrier:
-                barrier = heap_key[0]
-            while i < n and times[i] < barrier:
+            if heap_key is not None and (kind is None or heap_key < key):
+                kind, key = "heap", heap_key
+            if kind is None:
+                return
+            if kind == "arrival":
                 queue.advance_to(times[i])
-                state.submit_logical(ordered[i])
+                self.submit_logical(ordered[i])
                 i += 1
-        elif kind == "lane":
-            heapq.heappop(state._lane_heap)
-            queue.advance_to(lane[0])
-            state.complete_lane(lane[2])
-        else:
-            queue.step()
+                if i >= n or not self.all_busy() or not (
+                        refresh_off or self._refresh_armed):
+                    continue
+                # Busy epoch: arrivals strictly inside the barrier are
+                # pure submits.  Ties at the barrier instant fall back
+                # to the exact key comparison above.
+                barrier = self.lane_key()[0]  # all busy => lanes exist
+                heap_key = queue.peek_key()
+                if heap_key is not None and heap_key[0] < barrier:
+                    barrier = heap_key[0]
+                while i < n and times[i] < barrier:
+                    queue.advance_to(times[i])
+                    self.submit_logical(ordered[i])
+                    i += 1
+            elif kind == "lane":
+                heapq.heappop(self._lane_heap)
+                queue.advance_to(lane[0])
+                self.complete_lane(lane[2])
+            else:
+                queue.step()
 
 
 def _placeholder(request: LogicalRequest) -> DiskRequest:
@@ -719,8 +605,6 @@ def run_array_simulation(
     rebuild: RebuildConfig | None = None,
     recharacterize_every_ms: float | None = None,
     observer: Observer | None = None,
-    member_jobs: int | None = None,
-    engine: str | None = None,
 ) -> ArrayResult:
     """Replay logical block requests against a RAID-5 array.
 
@@ -738,7 +622,8 @@ def run_array_simulation(
     failing member trigger bounded logical-request retries governed by
     ``retry_policy``.  ``rebuild`` additionally injects paced hot-spare
     rebuild traffic through the member schedulers after each failure
-    window opens.
+    window opens.  Every fault must name a member of the array (the
+    hot spare, when ``rebuild`` adds one, is the last member).
 
     ``recharacterize_every_ms`` periodically re-keys every member's
     queue to the current clock and head position (schedulers without a
@@ -748,40 +633,25 @@ def run_array_simulation(
     ``observer`` traces *logical* request lifecycles (arrival, retry
     re-queues, completion/drop) and pulls per-member dispatcher stats
     into the registry under ``member<i>_dispatcher_*``; default off.
-
-    ``member_jobs`` switches to the member-parallel engine
-    (:mod:`repro.sim.members`): the five member disks advance
-    concurrently between array-level barrier points, with results
-    matching this serial engine (the differential tests pin equality).
-    ``None``/``0``/``1`` keep the serial event loop below.
-
-    ``engine`` selects ``"legacy"`` (one heap event per arrival and
-    per completion) or ``"batched"`` (arrivals consumed from a sorted
-    column, member completions held as SoA lane columns
-    (:class:`repro.sim.soa.MemberColumns`), only retries / rebuild
-    stripes / refresh ticks left on the heap -- bit-identical by
-    construction, because arrivals and completions reserve the exact
-    sequence numbers the heap would have assigned, so every (time,
-    sequence) tie resolves identically).  ``None`` consults
-    ``$REPRO_SIM_ENGINE``.  Combining ``member_jobs > 1`` with the
-    batched engine warns and runs the batched path: the thread-window
-    member engine is GIL-bound and strictly slower.
     """
-    from .server import resolve_engine
-
     if recharacterize_every_ms is not None and recharacterize_every_ms <= 0:
         raise ValueError("recharacterize_every_ms must be positive")
-    engine = resolve_engine(engine)
     raid = raid or Raid5Array(disks=5)
     if failed_disk is not None and not 0 <= failed_disk < raid.disks:
         raise ValueError(f"failed_disk {failed_disk} out of range")
+    member_count = raid.disks + (1 if rebuild is not None and rebuild.spare
+                                 else 0)
+    for fault in fault_plan or ():
+        if not 0 <= fault.disk < member_count:
+            raise ValueError(
+                f"fault on disk {fault.disk} out of range: the array "
+                f"has {member_count} members"
+            )
     dims = len(requests[0].priorities) if requests else 0
     logical_metrics = MetricsCollector(dims, priority_levels)
     queue = EventQueue()
 
     members = []
-    member_count = raid.disks + (1 if rebuild is not None and rebuild.spare
-                                 else 0)
     for index in range(member_count):
         disk = disk_factory()
         disk.reset(0)
@@ -790,7 +660,6 @@ def run_array_simulation(
             MetricsCollector(dims, priority_levels),
         ))
     spare = members[raid.disks] if member_count > raid.disks else None
-    array_members = members[:raid.disks]
 
     first_disk = members[0].disk
 
@@ -809,73 +678,17 @@ def run_array_simulation(
                 prefix=f"member{member.index}_dispatcher",
             )
 
-    if (member_jobs is not None and member_jobs not in (0, 1)
-            and engine == "batched"):
-        # The window-based member-jobs engine buys thread-level overlap
-        # that CPython's GIL never cashes, and the batched lane columns
-        # are faster than its barrier bookkeeping — silently paying the
-        # pool overhead on top of the batched engine would be strictly
-        # worse, so fall through to the batched path instead.
-        import warnings
-
-        warnings.warn(
-            "member_jobs > 1 with engine='batched' is redundant: the "
-            "thread-windowed member engine is GIL-bound and slower than "
-            "the batched lane columns; running the batched array engine "
-            "instead (results are identical either way)",
-            RuntimeWarning, stacklevel=2,
-        )
-        member_jobs = None
-
-    if member_jobs is not None and member_jobs not in (0, 1):
-        from .members import run_parallel_members  # avoid import cycle
-
-        physical_ops, tallies = run_parallel_members(
-            requests=requests,
-            members=array_members,
-            spare=spare,
-            raid=raid,
-            block_to_cylinder=block_to_cylinder,
-            logical_metrics=logical_metrics,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            failed_disk=failed_disk,
-            rebuild=rebuild,
-            dims=dims,
-            priority_levels=priority_levels,
-            recharacterize_every_ms=recharacterize_every_ms,
-            observer=obs,
-            jobs=member_jobs,
-        )
-        return ArrayResult(
-            logical_metrics=logical_metrics,
-            disk_metrics=[member.metrics for member in members],
-            physical_ops=physical_ops,
-            retries=tallies.retries,
-            failed_logical=tallies.failed_logical,
-            rebuild_ops=tallies.rebuild_ops,
-        )
-
-    state_cls = _BatchedArrayState if engine == "batched" else _ArrayState
-    state = state_cls(array_members, raid, queue, block_to_cylinder,
-                      logical_metrics, plan=fault_plan,
-                      retry_policy=retry_policy, spare=spare,
-                      recharacterize_every_ms=recharacterize_every_ms,
-                      observer=obs)
+    state = _ArrayState(members[:raid.disks], raid, queue,
+                        block_to_cylinder, logical_metrics,
+                        plan=fault_plan, retry_policy=retry_policy,
+                        spare=spare,
+                        recharacterize_every_ms=recharacterize_every_ms,
+                        observer=obs)
     state.failed_disk = failed_disk
     if rebuild is not None:
         state.schedule_rebuild(rebuild, dims, priority_levels)
 
-    ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-    if engine == "batched":
-        _run_batched_array(queue, state, ordered)
-    else:
-        for request in ordered:
-            queue.schedule(
-                max(request.arrival_ms, 0.0),
-                lambda req=request: state.submit_logical(req),
-            )
-        queue.run()
+    state.run(sorted(requests, key=lambda r: (r.arrival_ms, r.request_id)))
 
     return ArrayResult(
         logical_metrics=logical_metrics,

@@ -1,9 +1,8 @@
 """A small event-driven simulation engine.
 
-Generic enough for extensions (multi-disk arrays, think-time loops),
-but the disk-server run in :mod:`repro.sim.server` is the only driver
-the reproduction needs.  Events fire in (time, sequence) order, so ties
-resolve in scheduling order.
+The RAID-5 array loop (:mod:`repro.sim.array`) keeps its retries,
+rebuild stripes and refresh ticks here.  Events fire in (time,
+sequence) order, so ties resolve in scheduling order.
 """
 
 from __future__ import annotations
@@ -62,11 +61,11 @@ class EventQueue:
     def reserve_sequences(self, count: int) -> int:
         """Consume ``count`` sequence numbers; return the first one.
 
-        The batched array engine keeps logical arrivals outside the
-        heap but must preserve the (time, sequence) tie order the
-        legacy engine would have produced; reserving a contiguous
-        block at the point where the arrivals *would* have been
-        scheduled pins later dynamic events behind them.
+        The array loop keeps logical arrivals and member completions
+        outside the heap but must preserve the (time, sequence) tie
+        order of scheduling them here; reserving a contiguous block at
+        the point where they are scheduled pins later dynamic events
+        behind them.
         """
         if count < 0:
             raise ValueError("count must be non-negative")

@@ -4,6 +4,35 @@
 one service model, producing a :class:`SimulationResult`.  It is the
 single harness every experiment and baseline comparison runs through,
 so all schedulers see byte-identical workloads and timing rules.
+
+The loop plans the run over numpy columns
+(:class:`repro.sim.soa.RequestColumns`) instead of one heap event per
+request:
+
+* **Event barriers, not a heap.**  At any instant the loop has at
+  most two dynamic events outstanding -- the in-flight completion and
+  the optional re-characterization timer -- so the next event is a
+  three-way minimum over (time, sequence) keys.  Arrivals hold the
+  sequences 0..n-1 and dynamic events draw n, n+1, ... in scheduling
+  order, so simultaneous events fire arrivals first, then in the order
+  they were scheduled.
+* **Vectorized arrival epochs.**  While the disk is busy, every
+  arrival strictly inside the current barrier is a pure scheduler
+  submit; the span boundary is one ``np.searchsorted`` and the span
+  is characterized in one :func:`repro.core.batch.characterize_batch`
+  call with a per-request ``now`` column.  When the scheduler's v_c
+  depends only on (request, arrival clock) -- the paper configuration:
+  cascaded stages with the fixed sweep origin -- the whole run's SFC
+  keys are precomputed in a single batch call before the loop starts.
+* **Ledger inversions.**  Priority inversions are charged from
+  per-level occupancy tables (:class:`repro.sim.soa.InversionLedger`)
+  in O(levels) per dispatch instead of an O(queue x dims) scan over
+  the waiting requests; integer arithmetic, so tallies are exact.
+
+``tests/legacy_oracle.py`` keeps the one-event-per-request heap loop
+this replaced; the differential tests and golden traces pin the two
+bit for bit.  With a live observer the loop submits arrivals one at a
+time so hook order is that of the reference.
 """
 
 from __future__ import annotations
@@ -12,13 +41,15 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.request import DiskRequest
 from repro.obs.observer import Observer, live
 from repro.schedulers.base import Scheduler
 
-from .engine import EventQueue
 from .metrics import MetricsCollector
 from .service import ServiceModel
+from .soa import InversionLedger, RequestColumns
 
 
 @dataclass(frozen=True)
@@ -57,16 +88,16 @@ class SimulationResult:
         return self.metrics.seek_ms
 
 
-#: Environment override consulted when ``engine`` is not passed
-#: explicitly; the CI differential lane sets it to "batched" to run
-#: the whole quick suite through the SoA engine.
+#: Environment override of the *serving* loop
+#: (:class:`repro.serve.StreamingServer`) when ``engine`` is not passed
+#: explicitly.  The sim and array tiers have a single loop and ignore it.
 ENGINE_ENV = "REPRO_SIM_ENGINE"
 
 ENGINES = ("legacy", "batched")
 
 
 def resolve_engine(engine: str | None) -> str:
-    """Validate the engine choice; None defers to $REPRO_SIM_ENGINE."""
+    """Validate the serving-loop choice; None defers to $REPRO_SIM_ENGINE."""
     if engine is None:
         engine = os.environ.get(ENGINE_ENV) or "legacy"
     if engine not in ENGINES:
@@ -86,8 +117,7 @@ def run_simulation(requests: Sequence[DiskRequest],
                    priority_levels: int = 16,
                    record_timeline: bool = False,
                    recharacterize_every_ms: float | None = None,
-                   observer: Observer | None = None,
-                   engine: str | None = None
+                   observer: Observer | None = None
                    ) -> SimulationResult:
     """Simulate serving ``requests`` (sorted by arrival) with ``scheduler``.
 
@@ -119,16 +149,9 @@ def run_simulation(requests: Sequence[DiskRequest],
         spans, registry metrics, and queue-depth samples for this run.
         Defaults to off (:data:`repro.obs.NULL_OBSERVER` semantics) with
         no behavioural or measurable timing impact.
-    engine:
-        ``"legacy"`` (the event-heap loop below) or ``"batched"`` (the
-        structure-of-arrays engine in :mod:`repro.sim.batched`, which
-        reproduces this loop's metrics, timeline, and QoS output
-        bit-for-bit -- the differential tests pin it).  ``None``
-        consults ``$REPRO_SIM_ENGINE``, defaulting to legacy.
     """
     if recharacterize_every_ms is not None and recharacterize_every_ms <= 0:
         raise ValueError("recharacterize_every_ms must be positive")
-    engine = resolve_engine(engine)
     ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
     if priority_dims is None:
         priority_dims = len(ordered[0].priorities) if ordered else 0
@@ -139,6 +162,11 @@ def run_simulation(requests: Sequence[DiskRequest],
                 f"{len(request.priorities)} priorities, expected "
                 f"{priority_dims}"
             )
+    columns = RequestColumns.from_requests(ordered, priority_dims)
+    nan = np.isnan(columns.arrival_ms)
+    if nan.any():
+        first = ordered[int(nan.argmax())]
+        raise ValueError(f"request {first.request_id} has a NaN arrival_ms")
     metrics = MetricsCollector(priority_dims, priority_levels)
 
     obs = live(observer)
@@ -147,95 +175,241 @@ def run_simulation(requests: Sequence[DiskRequest],
         obs.watch_scheduler(scheduler)
         metrics.publish_into(obs.registry)
 
-    if engine == "batched":
-        from .batched import run_batched_simulation
-        return run_batched_simulation(
-            ordered, scheduler, service, metrics,
-            drop_expired=drop_expired, stop_at_ms=stop_at_ms,
-            record_timeline=record_timeline,
-            recharacterize_every_ms=recharacterize_every_ms,
-            observer=obs,
-        )
-
-    queue = EventQueue()
-    state = _ServerState(scheduler, service, metrics, queue, drop_expired,
-                         recharacterize_every_ms=recharacterize_every_ms,
-                         observer=obs)
-    if record_timeline:
-        state.timeline = []
-
-    for request in ordered:
-        queue.schedule(max(request.arrival_ms, 0.0),
-                       _Arrival(state, request))
-
-    queue.run(until_ms=stop_at_ms)
-
+    columns.sfc_key = precompute_sfc_keys(scheduler, columns, obs)
+    run = _Run(columns, scheduler, service, metrics,
+               drop_expired=drop_expired, stop_at_ms=stop_at_ms,
+               record_timeline=record_timeline,
+               recharacterize_every_ms=recharacterize_every_ms,
+               observer=obs)
+    run.execute()
     return SimulationResult(
         scheduler_name=scheduler.name,
         metrics=metrics,
         submitted=len(ordered),
         unserved=len(scheduler),
-        timeline=state.timeline,
+        timeline=run.timeline,
     )
 
 
-class _ServerState:
-    """Mutable simulation state shared by the event callbacks."""
+def precompute_sfc_keys(scheduler: Scheduler, columns: RequestColumns,
+                        observer: Observer | None) -> np.ndarray | None:
+    """Whole-run v_c column when submit is a pure (request, clock) map.
 
-    def __init__(self, scheduler: Scheduler, service: ServiceModel,
-                 metrics: MetricsCollector, queue: EventQueue,
-                 drop_expired: bool, *,
-                 recharacterize_every_ms: float | None = None,
-                 observer: Observer | None = None) -> None:
+    Applies to the stock :class:`repro.core.CascadedSFCScheduler` with
+    fast-path stages and the paper's fixed sweep origin
+    (``seek_track_head=False``): v_c then never reads the head
+    position, so every request's insertion key is known at t=0 and one
+    ``characterize_batch`` call with the arrival column as per-request
+    clocks replaces n scalar characterizations.  Returns None when the
+    precondition fails (custom stages, head-tracking stage 3, live
+    observer) -- the loop then characterizes span by span.
+    """
+    if observer is not None:
+        return None
+    from repro.core.batch import _fast_path_applies, characterize_batch
+    from repro.core.encapsulator import EncodeContext
+    from repro.core.scheduler import CascadedSFCScheduler
+    if type(scheduler) is not CascadedSFCScheduler:
+        return None
+    encapsulator = scheduler.encapsulator
+    if not _fast_path_applies(encapsulator):
+        return None
+    stage3 = encapsulator.stage3
+    if stage3 is not None and getattr(stage3, "track_head", False):
+        return None
+    ctx = EncodeContext(now_ms=0.0, head_cylinder=0)
+    return characterize_batch(encapsulator, columns.requests, ctx,
+                              nows=columns.arrival_ms)
+
+
+class _Run:
+    """One execution: the barrier loop and its event handlers."""
+
+    def __init__(self, columns: RequestColumns, scheduler: Scheduler,
+                 service: ServiceModel, metrics: MetricsCollector, *,
+                 drop_expired: bool, stop_at_ms: float | None,
+                 record_timeline: bool,
+                 recharacterize_every_ms: float | None,
+                 observer: Observer | None) -> None:
+        self.columns = columns
         self.scheduler = scheduler
         self.service = service
         self.metrics = metrics
-        self.queue = queue
         self.drop_expired = drop_expired
-        self.busy = False
-        self.timeline: list[TimelineEntry] | None = None
-        self.recharacterize_every_ms = recharacterize_every_ms
-        self._refresh_armed = False
+        self.stop_at_ms = stop_at_ms
+        self.refresh_every = recharacterize_every_ms
         self.obs = observer
-
-    def arm_refresh(self) -> None:
-        """Schedule the next periodic re-characterization (at most one
-        outstanding, and only while the scheduler holds work -- so the
-        event queue still drains)."""
-        if (self.recharacterize_every_ms is None or self._refresh_armed
-                or getattr(self.scheduler, "recharacterize", None) is None):
-            return
-        self._refresh_armed = True
-        self.queue.schedule(
-            self.queue.now + self.recharacterize_every_ms, _Refresh(self)
+        self.timeline: list[TimelineEntry] | None = (
+            [] if record_timeline else None)
+        self.ledger = InversionLedger(columns.priorities)
+        self.index_of = {id(request): i
+                         for i, request in enumerate(columns.requests)}
+        self.busy = False
+        self.now = 0.0
+        # Arrivals hold sequences 0..n-1; completions and refreshes
+        # draw n, n+1, ... in scheduling order, so (time, sequence)
+        # ties fire arrivals first, then dynamic events as scheduled.
+        self._seq = len(columns)
+        self._completion: tuple[float, int, DiskRequest] | None = None
+        self._refresh: tuple[float, int] | None = None
+        self._can_refresh = (
+            recharacterize_every_ms is not None
+            and getattr(scheduler, "recharacterize", None) is not None
         )
 
-    def try_dispatch(self) -> None:
+    # -- sequence / refresh bookkeeping -----------------------------------
+
+    def _next_seq(self) -> int:
+        seq = self._seq
+        self._seq += 1
+        return seq
+
+    def _arm_refresh(self) -> None:
+        """Arm the next periodic re-characterization (at most one
+        outstanding, and only while the scheduler holds work)."""
+        if not self._can_refresh or self._refresh is not None:
+            return
+        self._refresh = (self.now + self.refresh_every, self._next_seq())
+
+    # -- the barrier loop --------------------------------------------------
+
+    def execute(self) -> None:
+        n = len(self.columns)
+        arrivals = self.columns.arrival_ms.tolist()
+        stop = self.stop_at_ms
+        i = 0
+        while True:
+            kind = None
+            time = seq = 0
+            if i < n:
+                kind, time, seq = "arrival", arrivals[i], i
+            completion = self._completion
+            if completion is not None and (
+                    kind is None
+                    or (completion[0], completion[1]) < (time, seq)):
+                kind, time, seq = "completion", completion[0], completion[1]
+            refresh = self._refresh
+            if refresh is not None and (
+                    kind is None or (refresh[0], refresh[1]) < (time, seq)):
+                kind, time, seq = "refresh", refresh[0], refresh[1]
+            if kind is None:
+                break
+            if stop is not None and time > stop:
+                self.now = stop
+                break
+            self.now = time
+            if kind == "arrival":
+                i = self._on_arrivals(i)
+            elif kind == "completion":
+                self._on_completion()
+            else:
+                self._on_refresh()
+
+    # -- event handlers ----------------------------------------------------
+
+    def _on_arrivals(self, i: int) -> int:
+        """Fire arrival ``i``; bulk-submit its whole epoch when legal."""
+        if not self.busy or self.obs is not None:
+            # Idle (each arrival may dispatch immediately) or observed
+            # (per-request hook order): one request at a time.
+            self._single_arrival(i)
+            return i + 1
+        if self._can_refresh and self._refresh is None:
+            # The first arrival of a busy epoch arms the refresh timer
+            # at its own clock; submit it alone so the barrier below
+            # sees the new timer.
+            self._single_arrival(i)
+            return i + 1
+        # Busy and unobserved: every arrival up to the next dynamic
+        # event is a pure submit (dispatch no-ops while busy, the
+        # refresh timer is already armed or impossible).  Arrivals tie
+        # ahead of dynamic events, so the span is inclusive of the
+        # barrier instant.
+        barrier = self._completion[0]
+        if self._refresh is not None and self._refresh[0] < barrier:
+            barrier = self._refresh[0]
+        if self.stop_at_ms is not None and self.stop_at_ms < barrier:
+            # Arrivals past the hard stop never fire; an arrival
+            # exactly at the stop instant still does.
+            barrier = self.stop_at_ms
+        end = int(np.searchsorted(self.columns.arrival_ms, barrier,
+                                  side="right"))
+        if end <= i:
+            end = i + 1
+        self._submit_span(i, end)
+        return end
+
+    def _single_arrival(self, i: int) -> None:
+        request = self.columns.requests[i]
+        now = self.now
+        obs = self.obs
+        if obs is not None:
+            obs.on_arrival(request, now)
+        self._submit_one(i, now)
+        if obs is not None:
+            obs.ensure_enqueued(request, now)
+            obs.on_queue_depth(now, len(self.scheduler))
+        self._try_dispatch()
+        if len(self.scheduler):
+            self._arm_refresh()
+
+    def _submit_one(self, i: int, now: float) -> None:
+        request = self.columns.requests[i]
+        keys = self.columns.sfc_key
+        if keys is not None:
+            self.scheduler.dispatcher.insert(request, float(keys[i]))
+        else:
+            self.scheduler.submit(request, now,
+                                  self.service.head_cylinder)
+        self.ledger.add(i)
+
+    def _submit_span(self, start: int, end: int) -> None:
+        columns = self.columns
+        requests = columns.requests
+        keys = columns.sfc_key
+        ledger = self.ledger
+        if keys is not None:
+            insert = self.scheduler.dispatcher.insert
+            for j in range(start, end):
+                insert(requests[j], float(keys[j]))
+                ledger.add(j)
+            return
+        self.scheduler.submit_many(requests[start:end],
+                                   columns.arrival_ms[start:end],
+                                   self.service.head_cylinder)
+        for j in range(start, end):
+            ledger.add(j)
+
+    def _try_dispatch(self) -> None:
         """Start serving the scheduler's next pick if the disk is free."""
+        scheduler = self.scheduler
+        service = self.service
+        metrics = self.metrics
         while not self.busy:
-            now = self.queue.now
-            head = self.service.head_cylinder
-            request = self.scheduler.next_request(now, head)
+            now = self.now
+            request = scheduler.next_request(now, service.head_cylinder)
             if request is None:
                 return
-            self.metrics.note_queue_length(len(self.scheduler) + 1)
+            index = self.index_of[id(request)]
+            self.ledger.remove(index)
+            metrics.note_queue_length(len(scheduler) + 1)
             obs = self.obs
             if self.drop_expired and now >= request.deadline_ms:
                 # The data is already useless; drop without disk time.
-                self.metrics.on_complete(request, now, dropped=True)
-                self.scheduler.on_served(request, now)
+                metrics.on_complete(request, now, dropped=True)
+                scheduler.on_served(request, now)
                 if obs is not None:
                     obs.on_drop(request, now, "expired")
                 if self.timeline is not None:
                     self.timeline.append(TimelineEntry(
                         request.request_id, now, now,
-                        len(self.scheduler), dropped=True,
+                        len(scheduler), dropped=True,
                     ))
                 continue
-            self.metrics.on_dispatch(request, self.scheduler.pending())
-            record = self.service.serve(request, now)
-            self.metrics.on_service(record.seek_ms, record.latency_ms,
-                                    record.transfer_ms)
+            metrics.add_inversions(self.ledger.inversions_of(index))
+            record = service.serve(request, now)
+            metrics.on_service(record.seek_ms, record.latency_ms,
+                               record.transfer_ms)
             if obs is not None:
                 obs.on_dispatch(request, now)
                 obs.on_service(request, now, seek_ms=record.seek_ms,
@@ -245,67 +419,31 @@ class _ServerState:
             if self.timeline is not None:
                 self.timeline.append(TimelineEntry(
                     request.request_id, now, completion,
-                    len(self.scheduler),
+                    len(scheduler),
                 ))
             self.busy = True
-            self.queue.schedule(completion, _Completion(self, request))
+            self._completion = (completion, self._next_seq(), request)
             return
 
+    def _on_completion(self) -> None:
+        _, _, request = self._completion
+        self._completion = None
+        self.busy = False
+        now = self.now
+        self.metrics.on_complete(request, now)
+        self.scheduler.on_served(request, now)
+        if self.obs is not None:
+            self.obs.on_complete(request, now,
+                                 missed=now > request.deadline_ms)
+        self._try_dispatch()
 
-class _Arrival:
-    """Arrival event: hand the request to the scheduler."""
-
-    def __init__(self, state: _ServerState, request: DiskRequest) -> None:
-        self._state = state
-        self._request = request
-
-    def __call__(self) -> None:
-        state = self._state
-        now = state.queue.now
-        if state.obs is not None:
-            state.obs.on_arrival(self._request, now)
-        state.scheduler.submit(self._request, now,
-                               state.service.head_cylinder)
-        if state.obs is not None:
-            state.obs.ensure_enqueued(self._request, now)
-            state.obs.on_queue_depth(now, len(state.scheduler))
-        state.try_dispatch()
-        if len(state.scheduler):
-            state.arm_refresh()
-
-
-class _Refresh:
-    """Periodic re-characterization event (opt-in hot path)."""
-
-    def __init__(self, state: _ServerState) -> None:
-        self._state = state
-
-    def __call__(self) -> None:
-        state = self._state
-        state._refresh_armed = False
-        if len(state.scheduler):
-            state.scheduler.recharacterize(  # type: ignore[attr-defined]
-                state.queue.now, state.service.head_cylinder
+    def _on_refresh(self) -> None:
+        self._refresh = None
+        scheduler = self.scheduler
+        if len(scheduler):
+            scheduler.recharacterize(  # type: ignore[attr-defined]
+                self.now, self.service.head_cylinder
             )
-            state.try_dispatch()
-            if len(state.scheduler):
-                state.arm_refresh()
-
-
-class _Completion:
-    """Service-completion event: record outcome, dispatch the next one."""
-
-    def __init__(self, state: _ServerState, request: DiskRequest) -> None:
-        self._state = state
-        self._request = request
-
-    def __call__(self) -> None:
-        state = self._state
-        state.busy = False
-        now = state.queue.now
-        state.metrics.on_complete(self._request, now)
-        state.scheduler.on_served(self._request, now)
-        if state.obs is not None:
-            state.obs.on_complete(self._request, now,
-                                  missed=now > self._request.deadline_ms)
-        state.try_dispatch()
+            self._try_dispatch()
+            if len(scheduler):
+                self._arm_refresh()

@@ -1,16 +1,13 @@
-"""Structure-of-arrays request columns for the batched engine.
+"""Structure-of-arrays request columns for the simulation loop.
 
-The legacy engine walks one Python object per request; the batched
-engine (:mod:`repro.sim.batched`) keeps the whole workload as numpy
-columns -- arrival, cylinder (the "sector" axis of the disk model),
-deadline, stream id, per-dimension priorities, the precomputed SFC
-key when the scheduler admits one, and a request-state code -- and
-advances over them in vectorized epochs between event barriers.
+:func:`repro.sim.server.run_simulation` keeps the whole workload as
+numpy columns -- arrival, per-dimension priorities, and the
+precomputed SFC key when the scheduler admits one -- and advances over
+them in vectorized epochs between event barriers.
 
 The columns never replace the :class:`~repro.core.request.DiskRequest`
-objects (schedulers and metrics still receive the originals, so every
-observable side effect is bit-identical to the legacy path); they are
-the index the engine plans epochs and counts inversions from.
+objects (schedulers and metrics still receive the originals); they are
+the index the loop plans epochs and counts inversions from.
 """
 
 from __future__ import annotations
@@ -22,29 +19,17 @@ import numpy as np
 
 from repro.core.request import DiskRequest
 
-#: Request-state codes carried in :attr:`RequestColumns.state`.
-PENDING = 0      #: not yet arrived / waiting in the scheduler
-DISPATCHED = 1   #: currently occupying the disk
-SERVED = 2       #: completed service
-DROPPED = 3      #: expired and dropped without disk time
-UNSERVED = 4     #: still queued when the run stopped
-
 
 @dataclass
 class RequestColumns:
     """The workload as parallel numpy columns, in arrival order."""
 
     requests: tuple[DiskRequest, ...]
-    #: Arrival clamped to >= 0 -- the instant the legacy engine fires
-    #: the arrival event (``max(arrival_ms, 0.0)``), non-decreasing.
+    #: Arrival clamped to >= 0 -- the instant the arrival fires
+    #: (``max(arrival_ms, 0.0)``), non-decreasing.
     arrival_ms: np.ndarray
-    deadline_ms: np.ndarray
-    cylinder: np.ndarray
-    stream_id: np.ndarray
     #: ``(n, dims)`` int64 matrix of the priority vectors.
     priorities: np.ndarray
-    #: Request lifecycle codes (PENDING/DISPATCHED/SERVED/...).
-    state: np.ndarray
     #: Precomputed whole-run v_c (float64), or None when the scheduler
     #: does not admit arrival-time precomputation.
     sfc_key: np.ndarray | None = None
@@ -54,108 +39,35 @@ class RequestColumns:
                       dims: int) -> "RequestColumns":
         n = len(ordered)
         arrival = np.empty(n, dtype=np.float64)
-        deadline = np.empty(n, dtype=np.float64)
-        cylinder = np.empty(n, dtype=np.int64)
-        stream = np.empty(n, dtype=np.int64)
         priorities = np.empty((n, dims), dtype=np.int64)
         for i, request in enumerate(ordered):
             arrival[i] = max(request.arrival_ms, 0.0)
-            deadline[i] = request.deadline_ms
-            cylinder[i] = request.cylinder
-            stream[i] = request.stream_id
             if dims:
                 priorities[i, :] = request.priorities
         return cls(
             requests=tuple(ordered),
             arrival_ms=arrival,
-            deadline_ms=deadline,
-            cylinder=cylinder,
-            stream_id=stream,
             priorities=priorities,
-            state=np.zeros(n, dtype=np.uint8),
         )
 
     def __len__(self) -> int:
         return len(self.requests)
 
 
-@dataclass
-class MemberColumns:
-    """Per-member lane state of the batched RAID-5 array engine.
-
-    The legacy array loop keeps each member's in-flight completion as
-    one closure on the event heap; the batched engine
-    (:class:`repro.sim.array._BatchedArrayState`) keeps the lanes as
-    parallel numpy columns instead and finds the next completion with
-    one vectorized ``(busy-until, sequence)`` minimum.  The sequence
-    column carries the event-queue sequence number the legacy engine
-    would have given the completion event (reserved at dispatch), so
-    the lexicographic minimum reproduces the heap's tie order exactly.
-
-    The remaining columns are per-member ledgers — dispatch, failure
-    (retry-triggering), rebuild-op counts and the highest rebuilt
-    stripe epoch — maintained as SoA tallies alongside the shared
-    :class:`repro.sim.array._FaultTallies` totals.
-    """
-
-    #: Completion instant of the in-flight op; ``inf`` when idle.
-    busy_until_ms: np.ndarray
-    #: Event-queue sequence of the in-flight completion; ``-1`` idle.
-    busy_seq: np.ndarray
-    #: Physical operations dispatched per member.
-    ops_dispatched: np.ndarray
-    #: Physical operations failed per member (dispatch- or in-flight).
-    ops_failed: np.ndarray
-    #: Rebuild operations submitted per member.
-    rebuild_ops: np.ndarray
-    #: Highest rebuilt stripe index + 1 observed per member.
-    stripe_epoch: np.ndarray
-
-    @classmethod
-    def for_members(cls, count: int) -> "MemberColumns":
-        return cls(
-            busy_until_ms=np.full(count, np.inf, dtype=np.float64),
-            busy_seq=np.full(count, -1, dtype=np.int64),
-            ops_dispatched=np.zeros(count, dtype=np.int64),
-            ops_failed=np.zeros(count, dtype=np.int64),
-            rebuild_ops=np.zeros(count, dtype=np.int64),
-            stripe_epoch=np.zeros(count, dtype=np.int64),
-        )
-
-    def all_busy(self) -> bool:
-        """True when every lane has an in-flight operation."""
-        return bool(np.isfinite(self.busy_until_ms).all())
-
-    def min_key(self) -> tuple[float, int, int] | None:
-        """``(time, sequence, lane)`` of the earliest completion.
-
-        Lexicographic over ``(busy_until_ms, busy_seq)`` — the same key
-        the legacy heap orders completion events by — or None when all
-        lanes are idle.
-        """
-        busy_until = self.busy_until_ms
-        time = busy_until.min()
-        if not np.isfinite(time):
-            return None
-        seqs = np.where(busy_until == time, self.busy_seq,
-                        np.iinfo(np.int64).max)
-        lane = int(seqs.argmin())
-        return float(time), int(self.busy_seq[lane]), lane
-
-
 class InversionLedger:
     """Exact priority-inversion counting without iterating the queue.
 
-    The legacy engine charges, at every dispatch, one inversion per
-    waiting request per dimension where the waiting request's priority
-    is *strictly* higher (a lower level).  That is an O(queue x dims)
-    Python loop -- the dominant cost under load.  Priorities are small
+    Every dispatch charges one inversion per waiting request per
+    dimension where the waiting request's priority is *strictly*
+    higher (a lower level).  Scanning the queue for that
+    (``MetricsCollector.on_dispatch``) is an O(queue x dims) Python
+    loop -- the dominant cost under load.  Priorities are small
     integers, so the same count falls out of per-level occupancy
     tables: rank every request's priority against the distinct levels
     present in the workload, keep one waiting-count per level, and the
     inversions charged to a dispatch are the occupancy strictly below
     the dispatched request's rank.  Integer arithmetic throughout, so
-    the tallies are identical to the legacy loop's, not approximations.
+    the tallies are identical to the scan's, not approximations.
     """
 
     def __init__(self, priorities: np.ndarray) -> None:
@@ -181,8 +93,8 @@ class InversionLedger:
     def inversions_of(self, index: int) -> list[int]:
         """Waiting requests strictly above ``index``'s priority, per dim.
 
-        Call after :meth:`remove`, mirroring the legacy engine where
-        the dispatched request is already out of ``pending()``.
+        Call after :meth:`remove`, mirroring the scan, where the
+        dispatched request is already out of ``pending()``.
         """
         out = []
         for k in range(self._dims):

@@ -37,8 +37,9 @@ class PoissonWorkload:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        if self.mean_interarrival_ms <= 0:
-            raise ValueError("mean_interarrival_ms must be positive")
+        if not 0 < self.mean_interarrival_ms < math.inf:
+            raise ValueError("mean_interarrival_ms must be finite and "
+                             "positive")
         if self.priority_dims < 0:
             raise ValueError("priority_dims must be non-negative")
         if self.priority_levels < 1:

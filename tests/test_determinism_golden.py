@@ -8,11 +8,12 @@ byte-identical :class:`~repro.serve.TraceLog`, and a small pinned
 golden trace (``tests/golden/serve_trace.txt``) guards against
 accidental behavior drift between sessions.
 
-The batched SoA engine gets its own pinned replays: the golden serve
-ramp and the golden cluster scenario are materialized offline and run
-through **both** engines -- the serialized outcome (decisions,
-dispatch timeline, metrics fingerprint) must match byte for byte
-between engines, and match the pinned golden files
+The offline simulation loop gets its own pinned replays: the golden
+serve ramp and the golden cluster scenario are materialized offline and
+run through both :func:`repro.sim.run_simulation` and the reference
+heap loop in ``tests/legacy_oracle.py`` -- the serialized outcome
+(decisions, dispatch timeline, metrics fingerprint) must match byte for
+byte between the two, and match the pinned golden files
 (``serve_replay.txt`` / ``cluster_replay.txt``) across sessions.
 """
 
@@ -31,7 +32,12 @@ from repro.experiments.serve_demo import ServeSpec, build_server, ramp_events
 from repro.experiments.faults_scenario import serialize_trace
 from repro.parallel import metrics_fingerprint
 from repro.serve import run_ramp_online
-from repro.sim import ENGINES
+from repro.sim import run_simulation
+from tests import legacy_oracle
+
+#: The offline loop under test and its reference.
+SIMULATORS = {"shipped": run_simulation,
+              "oracle": legacy_oracle.run_simulation}
 
 # fig10/fig11 are the slow ones; two runs each still fit comfortably.
 FAST = ("table1", "fig1", "fig5", "fig6", "fig7", "fig8", "fig9")
@@ -89,43 +95,50 @@ def regenerate_golden() -> None:
     for name, payload in (
         ("serve_trace.txt", serve_trace(GOLDEN_SPEC)),
         ("serve_replay.txt", serialize_offline_replay(
-            offline_replay("legacy"))),
-        ("cluster_replay.txt", cluster_replay("legacy")),
+            offline_replay(legacy_oracle.run_simulation))),
+        ("cluster_replay.txt", cluster_replay(legacy_oracle.run_simulation)),
     ):
         path = GOLDEN_DIR / name
         path.write_bytes(payload + b"\n")
         print(f"wrote {path}")
 
 
-# -- batched-engine golden replays -----------------------------------------
+# -- offline-loop golden replays -------------------------------------------
 
-def offline_replay(engine: str):
-    """The golden serve ramp, materialized and simulated offline."""
+def offline_replay(simulate):
+    """The golden serve ramp, materialized and simulated offline.
+
+    ``simulate`` stands in for ``run_simulation`` inside
+    :func:`repro.serve.replay_ramp_offline` for the call's duration.
+    """
+    from unittest import mock
+
     from repro.disk.disk import make_xp32150_disk
     from repro.experiments.serve_demo import LEVELS, make_scheduler
-    from repro.serve import make_admission, replay_ramp_offline
+    from repro.serve import adapter, make_admission, replay_ramp_offline
     from repro.sim.service import DiskService
 
     disk = make_xp32150_disk()
     disk.reset(0)
-    return replay_ramp_offline(
-        ramp_events(GOLDEN_SPEC),
-        make_admission(GOLDEN_SPEC.policy, disk, priority_levels=LEVELS),
-        disk.geometry,
-        make_scheduler(GOLDEN_SPEC.scheduler),
-        DiskService(disk),
-        seed=GOLDEN_SPEC.seed,
-        until_ms=GOLDEN_SPEC.until_ms,
-        priority_levels=LEVELS,
-        record_timeline=True,
-        engine=engine,
-    )
+    with mock.patch.object(adapter, "run_simulation", simulate):
+        return replay_ramp_offline(
+            ramp_events(GOLDEN_SPEC),
+            make_admission(GOLDEN_SPEC.policy, disk,
+                           priority_levels=LEVELS),
+            disk.geometry,
+            make_scheduler(GOLDEN_SPEC.scheduler),
+            DiskService(disk),
+            seed=GOLDEN_SPEC.seed,
+            until_ms=GOLDEN_SPEC.until_ms,
+            priority_levels=LEVELS,
+            record_timeline=True,
+        )
 
 
 def serialize_offline_replay(ramp) -> bytes:
     """Canonical byte form of an offline ramp outcome.
 
-    Covers every engine-visible fact: the admission decisions, the
+    Covers every loop-visible fact: the admission decisions, the
     complete dispatch timeline, the unserved count and the full
     metrics fingerprint (``repr`` of floats is exact, so equal bytes
     means bit-equal runs).
@@ -146,34 +159,34 @@ def serialize_offline_replay(ramp) -> bytes:
 
 
 def test_serve_replay_batched_equals_legacy():
-    """Engine bit-identity on the golden ramp, byte for byte."""
-    replays = {engine: serialize_offline_replay(offline_replay(engine))
-               for engine in ENGINES}
-    assert replays["batched"] == replays["legacy"]
+    """The shipped loop matches the reference on the golden ramp,
+    byte for byte."""
+    replays = {name: serialize_offline_replay(offline_replay(simulate))
+               for name, simulate in SIMULATORS.items()}
+    assert replays["shipped"] == replays["oracle"]
 
 
 def test_serve_replay_matches_golden():
-    """Both engines replay the pinned offline-ramp serialization."""
+    """Both loops replay the pinned offline-ramp serialization."""
     golden = (GOLDEN_DIR / "serve_replay.txt").read_bytes().rstrip(b"\n")
-    for engine in ENGINES:
-        assert serialize_offline_replay(offline_replay(engine)) == golden
+    for simulate in SIMULATORS.values():
+        assert serialize_offline_replay(offline_replay(simulate)) == golden
 
 
-def cluster_replay(engine: str) -> bytes:
+def cluster_replay(simulate) -> bytes:
     """Offline materialization of the golden cluster scenario.
 
     The controller's decision plan scripts each array's open/close
     timeline; each array's sessions are materialized offline (polls at
     every scripted instant, exactly like the serving cell's
-    ``run_until`` barriers) and served through ``run_simulation`` with
-    the chosen engine.  One digest line per array pins the complete
-    outcome: request count, unserved, and a hash over the timeline +
-    metrics fingerprint.
+    ``run_until`` barriers) and served through ``simulate`` (the
+    shipped ``run_simulation`` or the reference).  One digest line per
+    array pins the complete outcome: request count, unserved, and a
+    hash over the timeline + metrics fingerprint.
     """
     from repro.disk.disk import make_xp32150_disk
     from repro.parallel.cells import make_scheduler
     from repro.serve import SessionManager
-    from repro.sim import run_simulation
     from repro.sim.rng import spawn_seed
     from repro.sim.service import DiskService
     from tests.test_cluster_golden import (
@@ -202,10 +215,10 @@ def cluster_replay(engine: str) -> bytes:
                 manager.close(local_ids.pop(entry.stream_key),
                               entry.time_ms)
         requests += manager.poll(cell.until_ms)
-        result = run_simulation(
+        result = simulate(
             requests, make_scheduler(cell.scheduler), DiskService(disk),
             priority_levels=cell.priority_levels, drop_expired=True,
-            record_timeline=True, engine=engine,
+            record_timeline=True,
         )
         payload = repr((tuple(result.timeline),
                         metrics_fingerprint(result.metrics))).encode()
@@ -218,9 +231,10 @@ def cluster_replay(engine: str) -> bytes:
 
 @pytest.mark.slow
 def test_cluster_replay_batched_equals_legacy_and_golden():
-    """Engine bit-identity on every array of the golden fleet scenario,
-    pinned against the committed digests."""
+    """The shipped loop matches the reference on every array of the
+    golden fleet scenario, pinned against the committed digests."""
     golden = (GOLDEN_DIR / "cluster_replay.txt").read_bytes().rstrip(b"\n")
-    replays = {engine: cluster_replay(engine) for engine in ENGINES}
-    assert replays["batched"] == replays["legacy"]
-    assert replays["legacy"] == golden
+    replays = {name: cluster_replay(simulate)
+               for name, simulate in SIMULATORS.items()}
+    assert replays["shipped"] == replays["oracle"]
+    assert replays["oracle"] == golden

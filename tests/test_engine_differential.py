@@ -1,11 +1,14 @@
-"""Differential harness: the batched SoA engine vs the legacy oracle.
+"""Differential harness: the shipped sim/array loops vs the reference.
 
-The batched engine (:mod:`repro.sim.batched`) exists purely for speed;
-its correctness contract is one sentence: *for every accepted input,
-``engine="batched"`` reproduces ``engine="legacy"`` bit for bit* --
-every metric (including order-sensitive ``RunningStats`` float
-accumulations), every timeline entry, and the unserved count.  These
-tests pin that contract across the whole accepted input space:
+:func:`repro.sim.run_simulation` and
+:func:`repro.sim.run_array_simulation` plan their runs over arrival
+columns, lane heaps and vectorized epochs, purely for speed; their
+correctness contract is one sentence: *for every accepted input, they
+reproduce the one-event-per-request heap loops in
+``tests/legacy_oracle.py`` bit for bit* -- every metric (including
+order-sensitive ``RunningStats`` float accumulations), every timeline
+entry, and the unserved count.  These tests pin that contract across
+the whole accepted input space:
 
 * workloads: hypothesis-drawn Poisson streams, empty streams,
   simultaneous arrivals, negative arrival clamps;
@@ -15,11 +18,11 @@ tests pin that contract across the whole accepted input space:
 * knobs: ``drop_expired``, ``stop_at_ms`` truncation,
   ``recharacterize_every_ms`` refresh timers, live observers;
 * the RAID-5 array path: fault plans (failure windows, transient
-  errors, latency spikes, thermal ramps), static degraded mode,
-  hot-spare rebuild, and ``member_jobs`` in {1, 2, 5}.
+  errors, latency spikes, thermal ramps), static degraded mode and
+  hot-spare rebuild.
 
-A divergence here means the batched engine changed semantics -- fix
-the engine, never the test.
+A divergence here means the shipped loop changed semantics -- fix the
+loop, never the test.
 """
 
 from __future__ import annotations
@@ -39,15 +42,17 @@ from repro.faults import (DiskFailure, FaultPlan, LatencySpike,
 from repro.obs import Observer
 from repro.parallel import baseline, cascaded, metrics_fingerprint
 from repro.parallel.cells import ArrayWorkload, make_scheduler
-from repro.sim import (
-    ENGINES,
-    resolve_engine,
-    run_array_simulation,
-    run_simulation,
-)
+from repro.sim import resolve_engine, run_array_simulation, run_simulation
 from repro.sim.array import RebuildConfig
 from repro.sim.service import constant_service, priority_scaled_service
 from repro.workloads.poisson import PoissonWorkload
+from tests import legacy_oracle
+
+#: The loop under test and its reference, side by side.
+SIMULATORS = {"shipped": run_simulation,
+              "oracle": legacy_oracle.run_simulation}
+ARRAY_SIMULATORS = {"shipped": run_array_simulation,
+                    "oracle": legacy_oracle.run_array_simulation}
 
 
 def workload(seed: int, count: int, dims: int = 3,
@@ -62,7 +67,7 @@ def workload(seed: int, count: int, dims: int = 3,
 
 
 #: Scheduler references covering every submit/dispatch shape the
-#: engine discriminates: the precomputed-key fast tier (plain
+#: loop discriminates: the precomputed-key fast tier (plain
 #: cascades), span characterization (head tracking), all dispatcher
 #: policies, and plain baselines with no encapsulator at all.
 SCHEDULER_REFS = {
@@ -102,22 +107,21 @@ def fingerprint(result) -> tuple:
             timeline, metrics_fingerprint(result.metrics))
 
 
-def assert_engines_agree(requests, scheduler_key: str,
-                         service_kind: str = "constant",
-                         **kwargs) -> tuple:
+def assert_matches_oracle(requests, scheduler_key: str,
+                          service_kind: str = "constant",
+                          **kwargs) -> tuple:
     prints = {}
-    for engine in ENGINES:
+    for name, simulate in SIMULATORS.items():
         scheduler = make_scheduler(SCHEDULER_REFS[scheduler_key])
-        result = run_simulation(requests, scheduler,
-                                service_for(service_kind),
-                                priority_levels=8, record_timeline=True,
-                                engine=engine, **kwargs)
-        prints[engine] = fingerprint(result)
-    assert prints["batched"] == prints["legacy"]
-    return prints["legacy"]
+        result = simulate(requests, scheduler, service_for(service_kind),
+                          priority_levels=8, record_timeline=True,
+                          **kwargs)
+        prints[name] = fingerprint(result)
+    assert prints["shipped"] == prints["oracle"]
+    return prints["oracle"]
 
 
-# -- engine selection plumbing ---------------------------------------------
+# -- serving-loop selection plumbing ---------------------------------------
 
 def test_resolve_engine_default_and_env(monkeypatch):
     monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
@@ -133,84 +137,68 @@ def test_resolve_engine_default_and_env(monkeypatch):
         resolve_engine(None)
 
 
-def test_env_engine_reaches_run_simulation(monkeypatch):
-    """$REPRO_SIM_ENGINE routes a plain run through the batched engine
-    and reproduces the legacy result (the CI differential lane relies
-    on exactly this)."""
-    requests = workload(3, 60)
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-    legacy = run_simulation(requests, make_scheduler(SCHEDULER_REFS["full"]),
-                            constant_service(2.5), priority_levels=8,
-                            record_timeline=True)
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "batched")
-    batched = run_simulation(requests, make_scheduler(SCHEDULER_REFS["full"]),
-                             constant_service(2.5), priority_levels=8,
-                             record_timeline=True)
-    assert fingerprint(batched) == fingerprint(legacy)
-
-
 # -- quick deterministic lane (always on, CI-sized) ------------------------
 
 @pytest.mark.parametrize("scheduler_key", sorted(SCHEDULER_REFS))
 def test_engines_identical_per_scheduler(scheduler_key):
     """Every scheduler shape agrees on a load heavy enough to queue."""
     requests = workload(17, 120, mean_interarrival_ms=1.5)
-    assert_engines_agree(requests, scheduler_key)
+    assert_matches_oracle(requests, scheduler_key)
 
 
 def test_engines_identical_on_disk_service():
     """Real seek/rotation service: head state evolves identically."""
     requests = workload(23, 100, mean_interarrival_ms=2.0)
-    assert_engines_agree(requests, "full", service_kind="disk")
-    assert_engines_agree(requests, "track-head", service_kind="disk")
+    assert_matches_oracle(requests, "full", service_kind="disk")
+    assert_matches_oracle(requests, "track-head", service_kind="disk")
 
 
 def test_engines_identical_with_drop_and_stop():
     requests = workload(5, 150, mean_interarrival_ms=1.0)
-    assert_engines_agree(requests, "full", drop_expired=True)
-    truncated = assert_engines_agree(requests, "full", stop_at_ms=120.0)
+    assert_matches_oracle(requests, "full", drop_expired=True)
+    truncated = assert_matches_oracle(requests, "full", stop_at_ms=120.0)
     # The stop must actually truncate, or the case proves nothing.
     assert truncated[2] > 0
 
 
 def test_engines_identical_with_recharacterize():
     requests = workload(41, 140, mean_interarrival_ms=1.2)
-    assert_engines_agree(requests, "full", recharacterize_every_ms=25.0)
-    assert_engines_agree(requests, "track-head", service_kind="disk",
-                         recharacterize_every_ms=40.0)
+    assert_matches_oracle(requests, "full", recharacterize_every_ms=25.0)
+    assert_matches_oracle(requests, "track-head", service_kind="disk",
+                          recharacterize_every_ms=40.0)
 
 
 def test_engines_identical_edge_workloads():
     # Empty stream.
-    assert_engines_agree([], "full")
+    assert_matches_oracle([], "full")
     # One request.
-    assert_engines_agree(workload(1, 1), "full")
+    assert_matches_oracle(workload(1, 1), "full")
     # Simultaneous arrivals (heap tie-order stress) and negative
     # arrival clamping.
     requests = workload(9, 80, mean_interarrival_ms=1.5)
     clumped = [r.__class__(**{**vars(r), "arrival_ms": -5.0 if i < 4
                               else float(int(r.arrival_ms // 10) * 10)})
                for i, r in enumerate(requests)]
-    assert_engines_agree(clumped, "full")
-    assert_engines_agree(clumped, "edf")
+    assert_matches_oracle(clumped, "full")
+    assert_matches_oracle(clumped, "edf")
 
 
 def test_engines_identical_with_observer():
     """A live observer forces the per-arrival path; hook order and the
-    observed registry must match the legacy run exactly."""
+    observed registry must match the reference run exactly."""
     requests = workload(13, 90, mean_interarrival_ms=1.8)
     prints = {}
     exports = {}
-    for engine in ENGINES:
+    for name, simulate in SIMULATORS.items():
         observer = Observer()
         scheduler = make_scheduler(SCHEDULER_REFS["full"])
-        result = run_simulation(requests, scheduler, constant_service(2.5),
-                                priority_levels=8, record_timeline=True,
-                                observer=observer, engine=engine)
-        prints[engine] = fingerprint(result)
-        exports[engine] = observer.registry.to_prometheus()
-    assert prints["batched"] == prints["legacy"]
-    assert exports["batched"] == exports["legacy"]
+        result = simulate(requests, scheduler, constant_service(2.5),
+                          priority_levels=8, record_timeline=True,
+                          observer=observer)
+        prints[name] = fingerprint(result)
+        exports[name] = observer.registry.to_prometheus()
+    assert prints["shipped"] == prints["oracle"]
+    assert exports["shipped"] == exports["oracle"]
 
 
 # -- hypothesis battery (single disk) --------------------------------------
@@ -236,11 +224,11 @@ def test_engine_differential_battery(seed, count, interarrival,
     if stop_fraction is not None and requests:
         last = max(r.arrival_ms for r in requests)
         stop_at = last * stop_fraction
-    assert_engines_agree(requests, scheduler_key,
-                         service_kind=service_kind,
-                         drop_expired=drop_expired,
-                         recharacterize_every_ms=recharacterize,
-                         stop_at_ms=stop_at)
+    assert_matches_oracle(requests, scheduler_key,
+                          service_kind=service_kind,
+                          drop_expired=drop_expired,
+                          recharacterize_every_ms=recharacterize,
+                          stop_at_ms=stop_at)
 
 
 # -- RAID-5 array path ------------------------------------------------------
@@ -273,14 +261,14 @@ def array_fingerprint(result) -> tuple:
 
 def run_array_both(requests, **kwargs) -> tuple:
     prints = {}
-    for engine in ENGINES:
-        prints[engine] = array_fingerprint(run_array_simulation(
+    for name, simulate in ARRAY_SIMULATORS.items():
+        prints[name] = array_fingerprint(simulate(
             requests,
             lambda: make_scheduler(baseline("scan", priority_levels=4)),
-            priority_levels=4, engine=engine, **kwargs,
+            priority_levels=4, **kwargs,
         ))
-    assert prints["batched"] == prints["legacy"]
-    return prints["legacy"]
+    assert prints["shipped"] == prints["oracle"]
+    return prints["oracle"]
 
 
 def test_array_engines_identical_quick():
@@ -306,47 +294,20 @@ def test_array_engines_identical_degraded_and_rebuild():
     seed=st.integers(0, 2**20),
     count=st.integers(60, 160),
     variant=st.integers(0, 2),
-    member_jobs=st.sampled_from((1, 2, 5)),
 )
-def test_array_engine_battery(seed, count, variant, member_jobs):
-    """Array runs agree under faults at every member_jobs level.
-
-    Under ``engine="legacy"`` ``member_jobs > 1`` runs the
-    thread-window member engine; under ``engine="batched"`` it warns
-    and runs the batched lane columns instead — the case therefore
-    pins the three engines (serial, windowed, batched) against each
-    other at once.
-    """
+def test_array_engine_battery(seed, count, variant):
+    """Array runs agree with the reference under every fault variant."""
     requests = ArrayWorkload(count=count).generate(seed)
     run_array_both(requests,
                    fault_plan=fault_variants(seed)[variant],
-                   retry_policy=RetryPolicy(),
-                   member_jobs=member_jobs)
-
-
-def test_array_batched_ignores_member_jobs_with_warning():
-    """engine='batched' + member_jobs>1 warns and no-ops to the
-    batched path (the GIL-bound window engine would only add pool
-    overhead), with results identical to member_jobs=None."""
-    requests = ArrayWorkload(count=60).generate(3)
-    plain = array_fingerprint(run_array_simulation(
-        requests, lambda: make_scheduler(baseline("scan", priority_levels=4)),
-        priority_levels=4, engine="batched",
-    ))
-    with pytest.warns(RuntimeWarning, match="GIL-bound"):
-        combined = array_fingerprint(run_array_simulation(
-            requests,
-            lambda: make_scheduler(baseline("scan", priority_levels=4)),
-            priority_levels=4, engine="batched", member_jobs=4,
-        ))
-    assert combined == plain
+                   retry_policy=RetryPolicy())
 
 
 def test_array_engines_identical_double_failure_and_rebuild():
     """Overlapping failure windows: RAID-5 abandons logical requests
     caught with two members down, mid-stripe ops retry, and the
     hot-spare rebuild competes through the member schedulers — the
-    batched lane columns must reproduce every ledger bit-for-bit."""
+    lane loop must reproduce every ledger bit-for-bit."""
     requests = ArrayWorkload(count=110).generate(19)
     plan = FaultPlan([
         DiskFailure(disk=1, start_ms=60.0, end_ms=400.0),
@@ -376,7 +337,7 @@ def test_array_engines_identical_double_failure_and_rebuild():
 )
 def test_array_rebuild_battery(seed, count, double, stripes, interval,
                                spare, transients):
-    """Hypothesis sweep of the batched array tier's fault surface:
+    """Hypothesis sweep of the array tier's fault surface:
     failure windows (single and overlapping double — the abandonment
     path), mid-stripe parity retries, transient errors, and hot-spare
     rebuild pacing, asserting ledger/metric bit-identity throughout."""

@@ -35,6 +35,16 @@ class TestFaultWindows:
         with pytest.raises(ValueError):
             ThermalRamp(0, 0.0, 1.0, peak_factor=0.5)
 
+    @pytest.mark.parametrize("kind, extra", [
+        (LatencySpike, {"extra_ms": 1.0}),
+        (TransientErrors, {"probability": 0.5}),
+        (DiskFailure, {}),
+        (ThermalRamp, {"peak_factor": 2.0}),
+    ], ids=["spike", "transient", "failure", "thermal"])
+    def test_negative_disk_rejected(self, kind, extra):
+        with pytest.raises(ValueError, match="disk"):
+            kind(-1, 0.0, 1.0, **extra)
+
     def test_thermal_factor_ramps_linearly(self):
         ramp = ThermalRamp(0, 100.0, 200.0, peak_factor=3.0)
         assert ramp.factor_at(50.0) == 1.0

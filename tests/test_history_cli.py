@@ -11,6 +11,7 @@ ambient CLI default differs (the engine-pin regression).
 from __future__ import annotations
 
 import os
+import shutil
 import sqlite3
 from pathlib import Path
 
@@ -21,6 +22,11 @@ from repro.experiments.cli import main
 from repro.store import SqliteRunStore
 
 REPO_ROOT = Path(__file__).parent.parent
+
+#: ``run fig5 --quick`` and ``run fig11 --quick`` (the drop-expired
+#: path) recorded with ``--engine legacy`` while the offline simulator
+#: still had a separate legacy loop.
+LEGACY_SIM_RUNS = REPO_ROOT / "tests" / "golden" / "legacy_sim_runs.sqlite"
 
 
 @pytest.fixture
@@ -193,3 +199,21 @@ class TestEnginePin:
         with history.pinned_engine("legacy"):
             assert os.environ["REPRO_SIM_ENGINE"] == "legacy"
         assert "REPRO_SIM_ENGINE" not in os.environ
+
+
+class TestLegacyRecordedSimRuns:
+    def test_legacy_sim_runs_replay_byte_for_byte(self, tmp_path, capsys):
+        """Runs recorded under the removed legacy sim loop still replay.
+
+        Replay writes into the store it reads (it imports the committed
+        bench baselines), so it runs on a copy of the fixture.
+        """
+        store_path = str(tmp_path / "legacy_sim_runs.sqlite")
+        shutil.copyfile(LEGACY_SIM_RUNS, store_path)
+        runs = SqliteRunStore(store_path).list(kind="run")
+        assert sorted((run.label, run.engine) for run in runs) == [
+            ("fig11", "legacy"), ("fig5", "legacy")]
+        for run in runs:
+            assert main(["history", "replay", str(run.run_id),
+                         "--store", store_path]) == 0
+            assert "byte-for-byte" in capsys.readouterr().out

@@ -8,9 +8,6 @@ on hypothesis-generated inputs:
   with 4 workers must yield identical results in identical order —
   every metric, not just headline counts (``RunningStats`` is
   floating-point-order sensitive, so this catches merge-order drift).
-* **Array member parallelism**: ``member_jobs`` must reproduce the
-  serial engine's logical metrics, physical-op count, retry ledger and
-  per-member fingerprints exactly, healthy or under fault plans.
 * **Serve cells**: a ramp run through the cell worker must replay the
   pinned golden trace byte for byte.
 * **Seeds and jobs normalization**: the spawn-key scheme is stable and
@@ -121,7 +118,7 @@ def test_runner_publishes_parallel_metrics():
     assert exported["parallel_wall_seconds"]["value"] > 0.0
 
 
-# -- tier 2: member-parallel array runs ------------------------------------
+# -- array cells -----------------------------------------------------------
 
 def fault_variants(seed: int) -> list[FaultPlan | None]:
     return [
@@ -138,37 +135,6 @@ def fault_variants(seed: int) -> list[FaultPlan | None]:
                         peak_factor=1.8),
         ], seed=seed),
     ]
-
-
-def array_fingerprint(result) -> tuple:
-    return (metrics_fingerprint(result.logical_metrics),
-            result.physical_ops, result.retries, result.failed_logical,
-            result.member_fingerprints)
-
-
-@pytest.mark.slow
-@settings(max_examples=4, deadline=None)
-@given(
-    seed=st.integers(0, 2**20),
-    count=st.integers(80, 160),
-    variant=st.integers(0, 2),
-    member_jobs=st.sampled_from((2, 3, 5)),
-)
-def test_array_member_jobs_identical_to_serial(seed, count, variant,
-                                               member_jobs):
-    """The tier-2 engine reproduces the serial array run exactly."""
-    spec = ArrayCellSpec(
-        label=("array",),
-        workload=ArrayWorkload(count=count),
-        seed=seed,
-        scheduler=baseline("scan", priority_levels=4),
-        priority_levels=4,
-        fault_plan=fault_variants(seed)[variant],
-        retry_policy=RetryPolicy(),
-    )
-    serial = run_array_cell(spec)
-    parallel = run_array_cell(replace(spec, member_jobs=member_jobs))
-    assert array_fingerprint(parallel) == array_fingerprint(serial)
 
 
 def test_array_faults_actually_fire():

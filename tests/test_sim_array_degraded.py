@@ -77,6 +77,26 @@ class TestDegradedMode:
         with pytest.raises(ValueError):
             run_array_simulation(reads(1), FCFSScheduler, failed_disk=9)
 
+    @pytest.mark.parametrize("disk", [5, 7])
+    def test_fault_on_missing_member_rejected(self, disk):
+        """A plan naming a member the array lacks would otherwise run
+        as if healthy (no retries, nothing failed)."""
+        plan = FaultPlan([DiskFailure(disk=disk, start_ms=0.0,
+                                      end_ms=100.0)])
+        with pytest.raises(ValueError, match="out of range"):
+            run_array_simulation(reads(5), FCFSScheduler,
+                                 priority_levels=4, fault_plan=plan)
+
+    def test_fault_on_hot_spare_accepted(self):
+        """With a rebuild spare the array has one more member."""
+        plan = FaultPlan([DiskFailure(disk=1, start_ms=0.0, end_ms=50.0),
+                          TransientErrors(disk=5, start_ms=0.0,
+                                          end_ms=50.0, probability=0.5)])
+        result = run_array_simulation(
+            reads(5), FCFSScheduler, priority_levels=4, fault_plan=plan,
+            rebuild=RebuildConfig(stripes=2, interval_ms=10.0))
+        assert result.rebuild_ops > 0
+
 
 def block_on_disk(disk: int, raid: Raid5Array | None = None) -> int:
     """A logical block whose *data* lives on member ``disk``."""

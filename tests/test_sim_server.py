@@ -161,6 +161,12 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(requests, FCFSScheduler(), constant_service(1.0))
 
+    def test_nan_arrival_rejected(self):
+        requests = [make_request(request_id=0, arrival_ms=1.0),
+                    make_request(request_id=1, arrival_ms=math.nan)]
+        with pytest.raises(ValueError, match="request 1 has a NaN"):
+            run_simulation(requests, FCFSScheduler(), constant_service(1.0))
+
     def test_empty_workload(self):
         result = run_simulation([], FCFSScheduler(), constant_service(1.0))
         assert result.submitted == 0

@@ -90,6 +90,9 @@ class TestPoissonWorkload:
     def test_validation(self):
         with pytest.raises(ValueError):
             PoissonWorkload(mean_interarrival_ms=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PoissonWorkload(mean_interarrival_ms=bad)
         with pytest.raises(ValueError):
             PoissonWorkload(deadline_range_ms=(0.0, 10.0))
         with pytest.raises(ValueError):
