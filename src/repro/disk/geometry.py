@@ -111,6 +111,15 @@ class DiskGeometry:
             self, "_zone_first",
             np.array([z.first_cylinder for z in self.zones], dtype=np.int64),
         )
+        # Scalar mirror for block_cylinder and capacity_bytes, which
+        # run per request / per stream open: (exclusive byte end, byte
+        # start, per-cylinder bytes, first cylinder) per zone.
+        object.__setattr__(self, "_zone_rows", tuple(zip(
+            self._zone_byte_ends.tolist(),  # type: ignore[attr-defined]
+            self._zone_byte_starts.tolist(),  # type: ignore[attr-defined]
+            per_cyl.tolist(),
+            self._zone_first.tolist(),  # type: ignore[attr-defined]
+        )))
 
     def zone_of(self, cylinder: int) -> Zone:
         """The zone containing ``cylinder``."""
@@ -134,12 +143,8 @@ class DiskGeometry:
 
     @property
     def capacity_bytes(self) -> int:
-        """Total formatted capacity."""
-        return sum(
-            zone.cylinders * zone.sectors_per_track
-            * self.tracks_per_cylinder * self.sector_size
-            for zone in self.zones
-        )
+        """Total formatted capacity (the last zone's byte end)."""
+        return self._zone_rows[-1][0]  # type: ignore[attr-defined]
 
     def block_cylinder(self, block: int, block_size: int) -> int:
         """Cylinder holding logical ``block`` of ``block_size`` bytes.
@@ -150,14 +155,10 @@ class DiskGeometry:
         if block < 0:
             raise ValueError("block must be non-negative")
         offset = block * block_size
-        for zone in self.zones:
-            zone_bytes = (zone.cylinders * zone.sectors_per_track
-                          * self.tracks_per_cylinder * self.sector_size)
-            if offset < zone_bytes:
-                per_cyl = (zone.sectors_per_track
-                           * self.tracks_per_cylinder * self.sector_size)
-                return zone.first_cylinder + offset // per_cyl
-            offset -= zone_bytes
+        rows = self._zone_rows  # type: ignore[attr-defined]
+        for end, start, per_cyl, first in rows:
+            if offset < end:
+                return first + (offset - start) // per_cyl
         raise ValueError(
             f"block {block} (size {block_size}) beyond disk capacity"
         )

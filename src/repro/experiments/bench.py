@@ -33,17 +33,13 @@ count so the number can be read in context.
 
 The ``cluster_scale`` section is the fleet scaling study: the cluster
 decision tier swept over 16/32/64/128 arrays (incremental vs full-scan
-admission, byte-identical decision logs, sublinear per-decision cost)
-and the cluster demo end-to-end against the PR 6 hot path (full-scan
-admission plus the O(sessions) session poll), gated at >=3x on full
-runs with matching fleet fingerprints.
+admission, byte-identical decision logs, sublinear per-decision cost).
 
-The ``serve`` section races the batched SoA serving engine against
-the legacy event loop it replaced: a dense always-admit overload ramp
-(bit-identical trace/decisions/stats, >=4x on full runs) and the
-cluster demo end-to-end with the serving engine pinned per arm
-(matching fleet fingerprints; timing recorded next to the PR 8 fleet
-number for trend context).
+The ``serve`` section times the serving loop: a dense always-admit
+overload ramp in seconds and requests/s, and the cluster demo
+end-to-end (decide + every serving cell, serial) next to the PR 8
+fleet number for trend context.  The loop's bit-identity to the
+reference loop is checked by the tier-1 differential tests.
 """
 
 from __future__ import annotations
@@ -664,83 +660,26 @@ def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
     return section, invariants
 
 
-@contextmanager
-def _pr6_serving_scan():
-    """Swap the serving tier back to the PR 6 full-scan session poll.
-
-    The two bodies below are the pre-due-heap ``SessionManager``
-    implementations verbatim (each poll scanned every live session for
-    the ``(due, stream_id)`` minimum; ``next_due_ms`` scanned them
-    all again).  Patching them in — with everything else current —
-    makes the cluster-demo gate a real before/after of the serving hot
-    path on otherwise identical code.  The scan ignores the due-heap
-    entirely, so the heap the current ``open`` still pushes onto is
-    inert; issue order (and therefore request ids) is unchanged.  Only
-    valid with ``engine="legacy"`` servers -- the batched serving
-    spans read the heap this scan leaves stale.
-    """
-    from repro.serve.session import SessionManager
-
-    def next_due_ms(self):
-        dues = [s.next_due_ms for s in self.sessions.values()]
-        dues = [d for d in dues if d is not None]
-        return min(dues) if dues else None
-
-    def poll(self, now_ms, limit=None):
-        out = []
-        while limit is None or len(out) < limit:
-            best = None
-            best_key = None
-            for session in self.sessions.values():
-                due = session.next_due_ms
-                if due is None or due > now_ms:
-                    continue
-                key = (due, session.stream_id)
-                if best_key is None or key < best_key:
-                    best, best_key = session, key
-            if best is None:
-                break
-            out.append(best.issue(self._next_request_id))
-            self._next_request_id += 1
-        return out
-
-    saved = (SessionManager.next_due_ms, SessionManager.poll)
-    SessionManager.next_due_ms = next_due_ms
-    SessionManager.poll = poll
-    try:
-        yield
-    finally:
-        SessionManager.next_due_ms, SessionManager.poll = saved
-
-
 def bench_cluster_scale(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
-    """Fleet decision tier at 16 -> 128 arrays, plus the demo gate.
+    """Fleet decision tier at 16 -> 128 arrays.
 
-    * **decide sweep** -- the cluster controller replayed over the same
-      fleet-wide event script with the full-scan admission
-      (``incremental=False``, the PR 6 path) and the incremental tier
-      (reserved-budget accumulators, lazy headroom heap, sorted
-      least-reserved index) at each fleet size.  The decision logs
-      must be byte-identical at every size, and on full runs the
-      incremental per-decision cost must grow *sublinearly* in the
-      array count (at most half the size ratio) -- the honest version
-      of the paper's "scales to thousands of disks" claim.
-    * **demo** -- the cluster demo end-to-end (decide + every serving
-      cell, serial) on the current path vs the PR 6 path: full-scan
-      admission *and* the O(sessions)-scan session poll restored via
-      :func:`_pr6_serving_scan`.  Fleet report fingerprints must
-      match, and full runs (the 16-array scenario) must clear a 3x
-      wall-clock speedup.
+    The cluster controller is replayed over the same fleet-wide event
+    script with the full-scan admission (``incremental=False``, the PR
+    6 path) and the incremental tier (reserved-budget accumulators,
+    lazy headroom heap, sorted least-reserved index) at each fleet
+    size.  The decision logs must be byte-identical at every size, and
+    on full runs the incremental per-decision cost must grow
+    *sublinearly* in the array count (at most half the size ratio) --
+    the honest version of the paper's "scales to thousands of disks"
+    claim.
     """
-    from repro.cluster import ClusterController, build_report
+    from repro.cluster import ClusterController
     from repro.experiments.cluster_demo import (
         ClusterSpec,
-        _cells,
         cluster_events,
         fault_plans,
         make_config,
     )
-    from repro.parallel import run_cells, run_cluster_cell
 
     section: dict = {"rows": []}
     invariants: dict[str, bool] = {}
@@ -797,50 +736,6 @@ def bench_cluster_scale(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
         growth <= (hi / lo) * 0.5 if full_run else True
     )
 
-    # -- demo gate: the cluster demo end-to-end vs the PR 6 path -----------
-    demo_spec = ClusterSpec() if full_run else ClusterSpec().quick()
-    demo_events = cluster_events(demo_spec)
-    demo_plans = fault_plans(demo_spec)
-
-    def run_demo(incremental: bool):
-        # The serving engine is pinned per arm: the PR 6 path is the
-        # legacy event loop (the batched serving tier postdates it,
-        # and the full-scan poll patched in below bypasses the due
-        # heap the batched spans read), the current path is the
-        # batched engine -- regardless of ``$REPRO_SIM_ENGINE``.
-        engine = "batched" if incremental else "legacy"
-        controller = ClusterController(make_config(demo_spec),
-                                       demo_plans,
-                                       incremental=incremental)
-        started = time.perf_counter()
-        plan = controller.run(demo_events, demo_spec.until_ms)
-        results = run_cells(
-            run_cluster_cell,
-            _cells(replace(demo_spec, engine=engine), plan), jobs=1)
-        elapsed = time.perf_counter() - started
-        return elapsed, build_report(plan, results)
-
-    # Timed once per arm, directly: both are multi-second end-to-end
-    # runs, far above GC/scheduler noise.
-    current_s, current = run_demo(True)
-    with _pr6_serving_scan():
-        pr6_s, pr6 = run_demo(False)
-    demo_speedup = pr6_s / current_s if current_s > 0 else float("inf")
-    invariants["cluster_scale.demo_bit_identical"] = (
-        pr6.fingerprint() == current.fingerprint()
-    )
-    invariants["cluster_scale.demo_3x"] = (
-        demo_speedup >= 3.0 if full_run else True
-    )
-    section["rows"].append({
-        "label": f"demo{demo_spec.arrays}",
-        "arrays": demo_spec.arrays,
-        "users": demo_spec.users,
-        "pr6_s": pr6_s,
-        "current_s": current_s,
-        "speedup": demo_speedup,
-        "speedup_gated": full_run,
-    })
     return section, invariants
 
 
@@ -862,22 +757,30 @@ def _pr8_fleet_seconds() -> float | None:
     return None
 
 
+def serve_ramp_spec(spec: BenchSpec):
+    """The ``serve`` section's dense always-admit overload ramp."""
+    from repro.experiments.serve_demo import ServeSpec
+    return replace(
+        ServeSpec(), max_users=spec.serve_users,
+        user_interval_ms=spec.serve_interval_ms, policy="always",
+        tail_ms=spec.serve_tail_ms,
+    )
+
+
 def bench_serve(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
-    """Serving tier: the batched SoA epoch loop vs the legacy oracle.
+    """Serving tier: the one serving loop, timed.
 
     * **ramp** -- a dense always-admit overload ramp (arrivals every
       few milliseconds, every stream admitted, queue bound forcing
-      bulk sheds) through the serve demo's own path, once per engine.
-      The trace, admission decisions, stats, and metrics fingerprint
-      must be bit-identical, and on full runs the batched engine must
-      clear a 4x wall-clock speedup -- the regime where the legacy
-      per-arrival event loop dominated the fleet demo.
+      bulk sheds) through the serve demo's own path, in seconds and
+      dispatched requests/s.
     * **fleet** -- the cluster demo end-to-end (decide + every serving
-      cell, serial) with the serving engine pinned per arm.  Fleet
-      report fingerprints must match; the speedup is recorded next to
-      the PR 8 fleet recording for trend context but never asserted --
-      both arms share the multi-second decide tier, so the margin is
-      machine- and profile-dependent.
+      cell, serial), recorded next to the PR 8 fleet recording for
+      trend context.
+
+    Nothing here is gated: bit-identity of the loop to the reference
+    loop is a tier-1 test (``tests/test_serve_engine_differential.py``
+    runs this ramp through both).
     """
     from repro.cluster import ClusterController, build_report
     from repro.experiments.cluster_demo import (
@@ -887,99 +790,51 @@ def bench_serve(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
         fault_plans,
         make_config,
     )
-    from repro.experiments.faults_scenario import serialize_trace
-    from repro.experiments.serve_demo import (
-        ServeSpec,
-        build_server,
-        ramp_events,
-    )
-    from repro.parallel import (
-        metrics_fingerprint,
-        run_cells,
-        run_cluster_cell,
-    )
+    from repro.experiments.serve_demo import build_server, ramp_events
+    from repro.parallel import run_cells, run_cluster_cell
     from repro.serve import run_ramp_online
 
     full_run = spec.repeats >= 3
     section: dict = {"rows": []}
-    invariants: dict[str, bool] = {}
 
     # -- ramp: dense always-admit overload, the serving-loop stress -------
-    ramp_spec = replace(
-        ServeSpec(), max_users=spec.serve_users,
-        user_interval_ms=spec.serve_interval_ms, policy="always",
-        tail_ms=spec.serve_tail_ms,
-    )
+    ramp_spec = serve_ramp_spec(spec)
     events = ramp_events(ramp_spec)
 
-    def run_ramp(engine: str):
-        server = build_server(replace(ramp_spec, engine=engine),
-                              lambda line: None)
-        decisions = run_ramp_online(server, events, ramp_spec.until_ms)
-        return (decisions, serialize_trace(server), server.stats(),
-                metrics_fingerprint(server.metrics))
+    def run_ramp():
+        server = build_server(ramp_spec, lambda line: None)
+        run_ramp_online(server, events, ramp_spec.until_ms)
+        return server.stats()
 
-    legacy_s, legacy = _best_of(lambda: run_ramp("legacy"), spec.repeats)
-    batched_s, batched = _best_of(lambda: run_ramp("batched"),
-                                  spec.repeats)
-    speedup = legacy_s / batched_s if batched_s > 0 else float("inf")
-    dispatched = batched[2].dispatched
+    ramp_s, stats = _best_of(run_ramp, spec.repeats)
     section["rows"].append({
         "label": "ramp",
         "users": ramp_spec.max_users,
         "interval_ms": ramp_spec.user_interval_ms,
-        "dispatched": dispatched,
-        "legacy_s": legacy_s,
-        "batched_s": batched_s,
-        "legacy_requests_per_s": (dispatched / legacy_s
-                                  if legacy_s > 0 else float("inf")),
-        "batched_requests_per_s": (dispatched / batched_s
-                                   if batched_s > 0 else float("inf")),
-        "speedup": speedup,
-        "speedup_gated": full_run,
+        "dispatched": stats.dispatched,
+        "seconds": ramp_s,
+        "requests_per_s": (stats.dispatched / ramp_s
+                           if ramp_s > 0 else float("inf")),
     })
-    invariants["serve.ramp.bit_identical"] = legacy == batched
-    invariants["serve.ramp.batched_4x"] = (
-        speedup >= 4.0 if full_run else True
-    )
 
-    # -- fleet: the cluster demo end-to-end, engine pinned per arm --------
+    # -- fleet: the cluster demo end-to-end -------------------------------
     demo_spec = ClusterSpec() if full_run else ClusterSpec().quick()
-    demo_events = cluster_events(demo_spec)
-    demo_plans = fault_plans(demo_spec)
-
-    def run_fleet(engine: str):
-        controller = ClusterController(make_config(demo_spec),
-                                       demo_plans)
-        started = time.perf_counter()
-        plan = controller.run(demo_events, demo_spec.until_ms)
-        results = run_cells(
-            run_cluster_cell,
-            _cells(replace(demo_spec, engine=engine), plan), jobs=1)
-        elapsed = time.perf_counter() - started
-        return elapsed, build_report(plan, results)
-
-    # Timed once per arm, directly: both are multi-second end-to-end
-    # runs, far above GC/scheduler noise.
-    legacy_fleet_s, legacy_fleet = run_fleet("legacy")
-    batched_fleet_s, batched_fleet = run_fleet("batched")
-    fleet_speedup = (legacy_fleet_s / batched_fleet_s
-                     if batched_fleet_s > 0 else float("inf"))
-    invariants["serve.fleet.bit_identical"] = (
-        batched_fleet.fingerprint() == legacy_fleet.fingerprint()
-    )
+    controller = ClusterController(make_config(demo_spec),
+                                   fault_plans(demo_spec))
+    started = time.perf_counter()
+    plan = controller.run(cluster_events(demo_spec), demo_spec.until_ms)
+    report = build_report(plan, run_cells(
+        run_cluster_cell, _cells(demo_spec, plan), jobs=1))
+    fleet_s = time.perf_counter() - started
     section["rows"].append({
         "label": f"fleet{demo_spec.arrays}",
         "arrays": demo_spec.arrays,
         "users": demo_spec.users,
-        "accepted": batched_fleet.accepted,
-        "legacy_s": legacy_fleet_s,
-        "batched_s": batched_fleet_s,
-        "speedup": fleet_speedup,
-        "speedup_gated": False,
+        "accepted": report.accepted,
+        "seconds": fleet_s,
         "pr8_recorded_s": _pr8_fleet_seconds(),
     })
-    return section, invariants
+    return section, {}
 
 
 SECTIONS = (
@@ -1142,6 +997,10 @@ def render(report: dict) -> str:
         rows = section.get("rows", [section])
         for row in rows:
             label = row.get("curve") or row.get("label") or name
+            if "speedup" not in row and "seconds" in row:
+                lines.append(f"  {name:15s} {label:18s} "
+                             f"{row['seconds']:8.2f}s")
+                continue
             speedup = row.get("speedup", 0.0)
             lines.append(f"  {name:15s} {label:18s} "
                          f"speedup {speedup:6.1f}x")

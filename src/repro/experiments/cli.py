@@ -11,13 +11,11 @@ Usage::
     python -m repro.experiments cluster [--quick] [--jobs N]
 
 Every simulation-running subcommand accepts ``--engine
-{legacy,batched}``, which selects the *serving* loop
-(:class:`repro.serve.StreamingServer`, used by ``serve``, ``obs``,
-``faults`` and ``cluster``).  CLI runs default to the batched loop
-(bit-identical results, faster); an explicit ``--engine`` wins over
-``$REPRO_SIM_ENGINE``, which wins over the default.  The offline
-simulator and the RAID-5 array have a single loop each and ignore the
-flag.
+{legacy,batched}`` for compatibility with recorded command lines.  It
+selects nothing: the offline simulator, the RAID-5 array and the
+serving loop (:class:`repro.serve.StreamingServer`) have a single loop
+each.  The value is stamped into ``$REPRO_SIM_ENGINE`` and recorded
+with the run as provenance.
 """
 
 from __future__ import annotations
@@ -311,18 +309,14 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
     )
-    # Shared by every simulation-running subcommand.  --engine picks
-    # the serving loop; CLI runs default to the batched one
-    # (bit-identical to legacy, faster); precedence is --engine >
-    # $REPRO_SIM_ENGINE > batched.  Library StreamingServer callers
-    # are unaffected (their default stays legacy unless the
-    # environment says otherwise).
+    # Shared by every simulation-running subcommand.  --engine is kept
+    # so recorded command lines still parse; every tier has one loop,
+    # so the value is only stamped into $REPRO_SIM_ENGINE and recorded.
     engine_parent = argparse.ArgumentParser(add_help=False)
     engine_parent.add_argument(
         "--engine", choices=("legacy", "batched"), default=None,
-        help="serving loop of StreamingServer runs (default: "
-             "$REPRO_SIM_ENGINE, else batched; results are "
-             "bit-identical); offline sim and array runs have one loop")
+        help="recorded with the run only; every tier has one loop "
+             "(default: $REPRO_SIM_ENGINE, else batched)")
     # Recording is opt-in per run (--record), implied by an explicit
     # --store PATH, or ambient for a whole session ($REPRO_STORE).
     engine_parent.add_argument(
@@ -472,11 +466,9 @@ def main(argv: list[str] | None = None) -> int:
     # process use and for main(argv) callers like the tests).
     args.argv_ = tuple(sys.argv[1:] if argv is None else argv)
 
-    # Serving-loop precedence for CLI runs: --engine >
-    # $REPRO_SIM_ENGINE > batched.  Routed through the environment so
-    # worker processes (--jobs N) inherit the choice; sections that pin
-    # an engine explicitly (the bench serve arms) still win, because
-    # resolve_engine prefers an explicit argument over the environment.
+    # The recorded engine tag: --engine > $REPRO_SIM_ENGINE > batched.
+    # Routed through the environment so worker processes (--jobs N)
+    # record the same tag.
     engine = getattr(args, "engine", None)
     if engine is not None:
         os.environ["REPRO_SIM_ENGINE"] = engine

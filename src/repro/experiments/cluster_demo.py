@@ -79,11 +79,6 @@ class ClusterSpec:
     #: Re-run the serving cells at a second worker count and compare
     #: fleet fingerprints (the --jobs bit-identity proof).
     selfcheck: bool = False
-    #: Serving engine of the per-array cells ("legacy" | "batched");
-    #: None defers to ``$REPRO_SIM_ENGINE``.  Fleet fingerprints are
-    #: bit-identical either way; pin it when the *timing* of a
-    #: specific engine is the point (the bench does).
-    engine: str | None = None
 
     def quick(self) -> "ClusterSpec":
         """4 arrays, MPEG-1 profile, one failure — the CI scenario."""
@@ -186,7 +181,6 @@ def _cells(spec: ClusterSpec, plan) -> list[ClusterCellSpec]:
             fault_plan=plans.get(array_id),
             max_queue=spec.max_queue,
             priority_levels=LEVELS,
-            engine=spec.engine,
         )
         for array_id, timeline in sorted(plan.timelines.items())
     ]

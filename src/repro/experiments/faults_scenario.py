@@ -226,8 +226,9 @@ def build_server(spec: FaultsSpec, scheduler: str) -> StreamingServer:
 def serialize_trace(server: StreamingServer) -> bytes:
     """Canonical byte form of the full trace (determinism checks)."""
     lines = [
-        f"{e.time_ms!r}|{e.kind}|{e.stream_id}|{e.request_id}|{e.detail}"
-        for e in server.trace
+        f"{time_ms!r}|{kind}|{stream_id}|{request_id}|{detail}"
+        for time_ms, kind, stream_id, request_id, detail
+        in server.trace.rows()
     ]
     return "\n".join(lines).encode()
 

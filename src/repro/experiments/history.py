@@ -10,7 +10,7 @@ canonical trace bytes, report, and observability payloads into a
   label/date;
 * ``history show <run>`` — full provenance of one run;
 * ``history replay <run>`` — re-executes from the stored config +
-  seeds with the *recorded* serving engine pinned, and asserts
+  seeds with the *recorded* engine tag pinned, and asserts
   byte-identity of the regenerated trace against the stored one (exit
   1 on divergence, and on a tampered/corrupt entry, which is detected
   from the fingerprint before anything re-executes);
@@ -64,11 +64,10 @@ def _silent(*args, **kwargs) -> None:
 def pinned_engine(engine: str | None):
     """Run with ``$REPRO_SIM_ENGINE`` forced to the recorded engine.
 
-    Replay must reproduce the run *as recorded*: a serving run captured
-    under ``engine=legacy`` re-executes the legacy serving loop even
-    when the ambient CLI default has moved on to batched.  Offline sim
-    and array runs have one loop, so for them the tag is provenance
-    only.  ``None`` (nothing recorded) leaves the environment alone.
+    Every tier has one loop now, so the recorded tag selects nothing
+    and is provenance only; the pin keeps the environment a replay
+    sees equal to the one the run recorded.  ``None`` (nothing
+    recorded) leaves the environment alone.
     """
     if engine is None:
         yield
@@ -309,9 +308,20 @@ def import_bench_baselines(store: RunStore,
 # -- replay -----------------------------------------------------------------
 
 
+#: Spec fields older runs recorded that no longer exist: ``engine``
+#: chose between two serving loops; there is one now, and both old
+#: loops traced byte-identically, so it is dropped on replay.
+_RETIRED_SPEC_FIELDS = ("engine",)
+
+
+def _current_fields(config: dict) -> dict:
+    return {key: value for key, value in config.items()
+            if key not in _RETIRED_SPEC_FIELDS}
+
+
 def _rebuild_serve_spec(config: dict):
     from .serve_demo import ServeSpec
-    return ServeSpec(**config)
+    return ServeSpec(**_current_fields(config))
 
 
 def _reexecute_serve(run: StoredRun) -> bytes:
@@ -354,7 +364,7 @@ def _reexecute_obs(run: StoredRun) -> bytes:
 
 def _reexecute_cluster(run: StoredRun) -> bytes:
     from . import cluster_demo
-    config = dict(run.config)
+    config = _current_fields(run.config)
     # The jobs bit-identity contract (and the recorded selfcheck that
     # proved it) lets replay run serial without re-proving it.
     config["jobs"] = None

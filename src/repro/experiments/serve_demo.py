@@ -63,11 +63,6 @@ class ServeSpec:
     write_fraction: float = 0.25
     seed: int = 2004
     report_every_ms: float | None = None
-    #: Serving engine ("legacy" | "batched"); None defers to
-    #: ``$REPRO_SIM_ENGINE`` exactly like ``StreamingServer``.  Traces
-    #: are bit-identical either way; pin it when the *timing* of a
-    #: specific engine is the point (the bench does).
-    engine: str | None = None
 
     def quick(self) -> "ServeSpec":
         return replace(self, user_interval_ms=250.0, tail_ms=5_000.0)
@@ -153,7 +148,6 @@ def build_server(spec: ServeSpec,
                             priority_levels=LEVELS),
         reporter=reporter,
         observer=observer,
-        engine=spec.engine,
     )
 
 

@@ -319,11 +319,6 @@ class ClusterCellSpec:
     retry_policy: RetryPolicy | None = None
     max_queue: int = 64
     priority_levels: int = 8
-    #: Serving engine ("legacy" | "batched"); None defers to
-    #: ``$REPRO_SIM_ENGINE`` exactly like ``StreamingServer``.  Trace
-    #: digests are bit-identical either way; pin it when the *timing*
-    #: of a specific engine is the point (the bench does).
-    engine: str | None = None
 
 
 @dataclass(frozen=True)
@@ -351,8 +346,9 @@ def _serialize_server_trace(server) -> bytes:
     """Canonical byte form of a server trace (same shape as the
     faults-scenario golden serialization)."""
     lines = [
-        f"{e.time_ms!r}|{e.kind}|{e.stream_id}|{e.request_id}|{e.detail}"
-        for e in server.trace
+        f"{time_ms!r}|{kind}|{stream_id}|{request_id}|{detail}"
+        for time_ms, kind, stream_id, request_id, detail
+        in server.trace.rows()
     ]
     return "\n".join(lines).encode()
 
@@ -398,7 +394,6 @@ def run_cluster_cell(spec: ClusterCellSpec) -> ClusterCellResult:
         config=ServerConfig(max_queue=spec.max_queue,
                             priority_levels=spec.priority_levels),
         faults=faults,
-        engine=spec.engine,
     )
     local_ids: dict[int, int] = {}
     opened = closed = 0

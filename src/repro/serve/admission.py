@@ -83,9 +83,13 @@ class AdmissionPolicy(ABC):
 
     #: Registry name, e.g. ``"reservation"``.
     name: str = "abstract"
+    #: Whether :meth:`decide` reads its ``load`` argument.  The server
+    #: builds no :class:`LoadSnapshot` (and passes None) for a policy
+    #: that does not.
+    reads_load: bool = True
 
     @abstractmethod
-    def decide(self, spec: StreamSpec, load: LoadSnapshot
+    def decide(self, spec: StreamSpec, load: LoadSnapshot | None
                ) -> AdmissionResult:
         """Accept, downgrade, or reject ``spec`` under ``load``."""
 
@@ -226,12 +230,21 @@ class AlwaysAdmit(AdmissionPolicy):
     """No admission control (the overload baseline)."""
 
     name = "always"
+    reads_load = False
 
-    def decide(self, spec: StreamSpec, load: LoadSnapshot
+    def __init__(self) -> None:
+        #: One immutable result per requested priority vector.
+        self._results: dict[tuple[int, ...], AdmissionResult] = {}
+
+    def decide(self, spec: StreamSpec, load: LoadSnapshot | None
                ) -> AdmissionResult:
-        return AdmissionResult(
-            AdmissionDecision.ADMIT, spec.priorities, 0.0, "always-admit"
-        )
+        result = self._results.get(spec.priorities)
+        if result is None:
+            result = self._results[spec.priorities] = AdmissionResult(
+                AdmissionDecision.ADMIT, spec.priorities, 0.0,
+                "always-admit",
+            )
+        return result
 
 
 def make_admission(name: str, disk: DiskModel | None = None,

@@ -17,6 +17,12 @@ Every decision lands in a :class:`~repro.serve.trace.TraceLog`, and
 all timing/miss accounting reuses
 :class:`~repro.sim.metrics.MetricsCollector`, so the online QoS
 numbers reconcile exactly with the offline simulator's.
+
+There is one serving loop (:meth:`StreamingServer.run_until`).  Pure
+arrivals while the disk is busy are admitted as bulk spans from the
+sessions' column plans; every other instant takes one flat event
+step.  The per-event reference loop it replaced lives in the tests
+(``tests/legacy_oracle.py``), which pin the two byte for byte.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from repro.obs.observer import Observer, live
 from repro.obs.profile import instrumented
 from repro.schedulers.base import Scheduler
 from repro.sim.metrics import MetricsCollector
-from repro.sim.server import resolve_engine
 from repro.sim.service import ServiceModel
 from repro.sim.soa import ServeInversionLedger
 
@@ -55,15 +60,6 @@ from .trace import TraceLog
 #: beats per-request scalar submits (the batch call has a fixed cost
 #: of roughly a dozen scalar characterizations).
 _SPAN_BATCH_MIN = 16
-#: Engine demotion: every ``_SPAN_DEMOTE_WINDOW`` spans the batched
-#: loop checks the window's mean span length; below
-#: ``_SPAN_DEMOTE_AVG`` requests per span the epoch machinery costs
-#: more than the legacy step it replaces (degenerate spans: sparse
-#: low-rate sessions, a mostly idle disk), so the server drops to the
-#: legacy loop for the rest of the run.  Purely a timing decision —
-#: both loops produce bit-identical results.
-_SPAN_DEMOTE_WINDOW = 128
-_SPAN_DEMOTE_AVG = 2.0
 
 
 @dataclass(frozen=True)
@@ -103,14 +99,17 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.recharacterize_ms is not None and self.recharacterize_ms <= 0:
-            raise ValueError("recharacterize_ms must be positive")
+        if self.recharacterize_ms is not None and not (
+                math.isfinite(self.recharacterize_ms)
+                and self.recharacterize_ms > 0):
+            raise ValueError("recharacterize_ms must be finite and positive")
         if self.shed_policy not in ("lowest-priority", "none"):
             raise ValueError(
                 "shed_policy must be 'lowest-priority' or 'none'"
             )
-        if self.degrade_window_ms <= 0:
-            raise ValueError("degrade_window_ms must be positive")
+        if not (math.isfinite(self.degrade_window_ms)
+                and self.degrade_window_ms > 0):
+            raise ValueError("degrade_window_ms must be finite and positive")
         if self.degrade_after < 1:
             raise ValueError("degrade_after must be >= 1")
         if self.degrade_policy not in ("shed", "downgrade"):
@@ -135,8 +134,7 @@ class StreamingServer:
                  config: ServerConfig | None = None,
                  reporter: QoSReporter | None = None,
                  faults: FaultInjector | None = None,
-                 observer: Observer | None = None,
-                 engine: str | None = None) -> None:
+                 observer: Observer | None = None) -> None:
         self.scheduler = scheduler
         self.service = service
         self.manager = manager
@@ -144,25 +142,16 @@ class StreamingServer:
         self.faults = faults
         self.clock = clock if clock is not None else VirtualClock()
         self.config = config or ServerConfig()
-        #: Serving-loop engine: ``"legacy"`` steps one event at a
-        #: time; ``"batched"`` admits arrival spans between event
-        #: barriers through the SoA session plans (bit-identical
-        #: traces — the legacy loop is the differential oracle).
-        self.engine = resolve_engine(engine)
-        self._batched = self.engine == "batched"
-        #: Per-dimension level occupancy of the waiting set, replacing
-        #: the O(queue) ``on_dispatch`` scan (batched engine only).
-        self._ledger = (ServeInversionLedger(self.config.priority_dims)
-                        if self._batched else None)
+        #: Per-dimension level occupancy of the waiting set: dispatch
+        #: reads its priority inversions here instead of scanning the
+        #: queue.
+        self._ledger = ServeInversionLedger(self.config.priority_dims)
         #: Lazy max-heap over queued requests on the shed-victim key
-        #: ``(priorities, deadline, request_id)`` (batched engine only).
+        #: ``(priorities, deadline, request_id)``.
         self._shed_heap: list[
             tuple[tuple[int, ...], float, int, DiskRequest]] = []
-        #: Ids currently inside the scheduler queue (batched only).
+        #: Ids currently inside the scheduler queue.
         self._queued_ids: set[int] = set()
-        #: Span-amortization counters driving engine demotion.
-        self._span_window_count = 0
-        self._span_window_requests = 0
         self.reporter = reporter
         self.trace = TraceLog(capacity=self.config.trace_capacity)
         self.metrics = MetricsCollector(self.config.priority_dims,
@@ -178,6 +167,16 @@ class StreamingServer:
             if faults is not None:
                 self.obs.watch_faults(faults)
             self.obs.registry.on_collect(self._publish_server_gauges)
+        #: Whether arrival spans may be taken at all.  A span skips the
+        #: per-request observer hooks, deferred polls (``"none"``
+        #: backpressure) reshape the arrival pattern a span assumes,
+        #: and a real clock must not jump across the span; those runs
+        #: take the event step for every instant.
+        self._spans = (self.obs is None
+                       and self.config.shed_policy == "lowest-priority"
+                       and isinstance(self.clock, VirtualClock))
+        #: Under ``"none"`` backpressure due polls wait for queue room.
+        self._backpressure = self.config.shed_policy == "none"
         self.started_ms = self.clock.now_ms()
         # Admission counters.
         self.admitted = 0
@@ -221,6 +220,11 @@ class StreamingServer:
         )
         #: Queue re-characterization passes performed.
         self.recharacterizations = 0
+        #: Whether any timer (report, retry, degrade-exit, re-key) can
+        #: ever be armed; without one, event times are completions and
+        #: session dues only.
+        self._timed = (reporter is not None or faults is not None
+                       or self._can_recharacterize)
 
     # -- stream lifecycle -------------------------------------------------
 
@@ -232,7 +236,7 @@ class StreamingServer:
 
     def queue_length(self) -> int:
         """Queued requests still eligible for service."""
-        return len(self.scheduler) - len(self._shed_pending)
+        return len(self._queued_ids) - len(self._shed_pending)
 
     def measured_utilization(self, now_ms: float | None = None) -> float:
         elapsed = (self.clock.now_ms() if now_ms is None
@@ -265,7 +269,9 @@ class StreamingServer:
                 f"server is configured for {self.config.priority_dims}"
             )
         now = self.clock.now_ms()
-        result = self.admission.decide(spec, self.load_snapshot())
+        admission = self.admission
+        result = admission.decide(
+            spec, self.load_snapshot() if admission.reads_load else None)
         if not result.admitted:
             self.rejected += 1
             self.trace.record(now, "reject", detail=result.reason)
@@ -307,83 +313,88 @@ class StreamingServer:
     # -- the clock-driven loop --------------------------------------------
 
     def run_until(self, until_ms: float) -> None:
-        """Advance the clock to ``until_ms``, serving everything due."""
-        if self._batched:
-            return self._run_until_batched(until_ms)
-        while True:
-            t = self._next_event_ms(until_ms)
-            if t is None:
-                break
-            self.clock.sleep_until(t)
-            self._process(max(t, self.clock.now_ms()))
-        self.clock.sleep_until(until_ms)
-
-    def _run_until_batched(self, until_ms: float) -> None:
-        """The epoch-driven loop of the batched serving engine.
+        """Advance the clock to ``until_ms``, serving everything due.
 
         While the disk is busy, every instant strictly before the next
-        event barrier (completion, retry, report, degrade-exit, re-key)
-        is a pure arrival: no completion can fire, nothing dispatches,
-        no trace event other than shed/retire can occur.  Those
-        arrivals are taken from the session plans as one bulk span
-        (:meth:`SessionManager.poll_span`), characterized in one
-        batch, and inserted group-by-group so shedding and retirement
-        still happen at their exact legacy instants.  Everything at or
-        past the barrier falls through to the legacy single-event step,
-        which is why the two engines trace byte-identically.
-
-        Workloads whose spans degenerate to a request or two (sparse
-        low-rate sessions, a mostly idle disk) pay the epoch overhead
-        for nothing, so the loop watches the windowed mean span length
-        and demotes itself to the legacy loop when it stays under
-        ``_SPAN_DEMOTE_AVG`` — results are identical either way, only
-        the wall clock moves.
+        event barrier (completion, armed timer, ``until_ms``) is a pure
+        arrival: nothing completes or dispatches, and no trace event
+        other than shed/retire can occur.  Those arrivals are admitted
+        as one span (:meth:`_admit_span`).  Every other instant takes
+        one event :meth:`_step`.  A call with nothing due before
+        ``until_ms`` costs one event-time computation.
         """
-        legacy_only = (self.obs is not None
-                       or self.config.shed_policy != "lowest-priority"
-                       or not isinstance(self.clock, VirtualClock))
+        clock = self.clock
+        now_ms = clock.now_ms
+        next_due_ms = self.manager.next_due_ms
+        spans = self._spans
+        timed = self._timed
         while True:
-            due = self.manager.next_due_ms()
+            now = now_ms()
+            busy = self._busy
+            due = next_due_ms()
             # Strictly-future dues only: an arrival due exactly *now*
-            # is processed by the legacy step at the clock's current
-            # value (whose int-ness the trace repr preserves).
-            if (due is not None and not legacy_only and self._batched
-                    and self._busy is not None
-                    and due > self.clock.now_ms()):
-                barrier = self._span_barrier_ms(until_ms)
+            # is stepped at the clock's current value (whose int-ness
+            # the trace repr preserves).
+            if spans and busy is not None and due is not None and due > now:
+                barrier = min(until_ms, busy[1])
+                if timed:
+                    for c in self._timer_candidates(now):
+                        if c < barrier:
+                            barrier = c
                 if due < barrier:
                     self._admit_span(due, barrier)
                     continue
-            t = self._next_event_ms(until_ms)
+            t = self._next_event_ms(until_ms, now, busy, due)
             if t is None:
                 break
-            self.clock.sleep_until(t)
-            self._process(max(t, self.clock.now_ms()))
-        self.clock.sleep_until(until_ms)
+            clock.sleep_until(t)
+            self._step(max(t, now_ms()), due)
+        clock.sleep_until(until_ms)
 
-    def _span_barrier_ms(self, until_ms: float) -> float:
-        """Earliest instant the span must stop *before*.
+    def _next_event_ms(self, until_ms: float, now: float,
+                       busy: tuple[DiskRequest, float] | None,
+                       due: float | None) -> float | None:
+        """Earliest actionable instant at or before ``until_ms``.
 
-        The same candidates :meth:`_next_event_ms` wakes up for,
-        folded into one bound; session dues strictly below it are pure
-        arrivals.  Conservative (a tighter barrier just shortens the
-        span — the next loop iteration picks up the rest).
+        Candidates in a fixed order -- completion, report, retry,
+        degrade-exit, re-key, session due -- where the first of equal
+        minima wins, so which of two tying instants (an int clock
+        value, a float due) is processed never depends on anything
+        else.
         """
-        assert self._busy is not None
-        now = self.clock.now_ms()
-        barrier = min(until_ms, self._busy[1])
+        t = None if busy is None else busy[1]
+        if self._timed:
+            for c in self._timer_candidates(now):
+                if t is None or c < t:
+                    t = c
+        if due is not None:
+            if due > now:
+                if t is None or due < t:
+                    t = due
+            elif self._poll_limit() != 0:
+                # Deferred (backpressured) work can be picked up now.
+                if t is None or now < t:
+                    t = now
+            # else: no room; the next completion will re-poll.
+        if t is None or t > until_ms:
+            return None
+        return t
+
+    def _timer_candidates(self, now: float) -> list[float]:
+        """Wake-up instants of the armed timers, in candidate order."""
+        out = []
         if self.reporter is not None:
-            barrier = min(barrier, self.reporter.next_due_ms)
+            out.append(self.reporter.next_due_ms)
         if self._retry_due:
-            barrier = min(barrier, max(self._retry_due[0][0], now))
+            out.append(max(self._retry_due[0][0], now))
         if self.degraded and self._fault_times:
-            barrier = min(
-                barrier,
-                self._fault_times[0] + self.config.degrade_window_ms,
-            )
-        if self._recharacterize_due is not None:
-            barrier = min(barrier, max(self._recharacterize_due, now))
-        return barrier
+            # The instant the oldest fault ages out of the pressure
+            # window (a possible degrade_exit).
+            out.append(self._fault_times[0] + self.config.degrade_window_ms)
+        if (self._recharacterize_due is not None
+                and self.queue_length() > 0):
+            out.append(max(self._recharacterize_due, now))
+        return out
 
     def _admit_span(self, first_due: float, barrier: float) -> None:
         """Admit every session arrival strictly before ``barrier``."""
@@ -394,14 +405,6 @@ class StreamingServer:
             # armed timer outside the span.
             barrier = min(barrier, first_due + config.recharacterize_ms)
         requests, dues, exhausted = self.manager.poll_span(barrier)
-        self._span_window_count += 1
-        self._span_window_requests += len(requests)
-        if self._span_window_count >= _SPAN_DEMOTE_WINDOW:
-            if (self._span_window_requests
-                    < _SPAN_DEMOTE_AVG * self._span_window_count):
-                self._batched = False  # spans don't amortize here
-            self._span_window_count = 0
-            self._span_window_requests = 0
         scheduler = self.scheduler
         head = self.service.head_cylinder
         keys: list[float] | None = None
@@ -410,7 +413,7 @@ class StreamingServer:
             # One characterize_batch for the whole epoch; insertion
             # happens per instant group below with the precomputed
             # keys (head position cannot move inside the span).  Short
-            # spans stay on the scalar submit path — the batch call's
+            # spans stay on the scalar submit path -- the batch call's
             # fixed cost would dominate them.
             ctx = EncodeContext(now_ms=dues[-1], head_cylinder=head)
             keys = characterize_batch(
@@ -442,7 +445,7 @@ class StreamingServer:
                     tracker.on_issue()
                 self._note_queued(request)
             if self.queue_length() > max_queue:
-                self._shed_batched(t)
+                self._shed(t)
             while (exhaust_i < len(exhausted)
                    and exhausted[exhaust_i][0] <= t):
                 session = exhausted[exhaust_i][1]
@@ -451,24 +454,29 @@ class StreamingServer:
                 exhaust_i += 1
             i = j
         if self._can_recharacterize and self._recharacterize_due is None:
-            # Queue is non-empty from the first group on, so the
-            # legacy loop would have armed the timer there.
+            # The queue is non-empty from the first group on, so an
+            # event step there would have armed the timer.
             self._recharacterize_due = first_due + config.recharacterize_ms
         self.clock.sleep_until(dues[-1])
 
     def _note_queued(self, request: DiskRequest) -> None:
-        """Batched-engine bookkeeping for a request entering the queue."""
-        self._ledger.add(request.priorities)  # type: ignore[union-attr]
-        self._queued_ids.add(request.request_id)
-        heapq.heappush(self._shed_heap, (
-            tuple(-p for p in request.priorities),
+        """Bookkeeping for a request entering the scheduler queue."""
+        self._ledger.add(request.priorities)
+        queued = self._queued_ids
+        queued.add(request.request_id)
+        heap = self._shed_heap
+        if len(heap) > 2 * len(queued) + 64:
+            # Entries of dispatched requests only surface during a
+            # shed; drop them here so the heap stays O(queue) when
+            # sheds are rare.
+            heap[:] = [entry for entry in heap
+                       if -entry[2] in queued
+                       and -entry[2] not in self._shed_pending]
+            heapq.heapify(heap)
+        heapq.heappush(heap, (
+            tuple([-p for p in request.priorities]),
             -request.deadline_ms, -request.request_id, request,
         ))
-
-    def _note_popped(self, request: DiskRequest) -> None:
-        """Batched-engine bookkeeping for a request leaving the queue."""
-        self._ledger.remove(request.priorities)  # type: ignore[union-attr]
-        self._queued_ids.discard(request.request_id)
 
     def run_for(self, delta_ms: float) -> None:
         self.run_until(self.clock.now_ms() + delta_ms)
@@ -489,139 +497,110 @@ class StreamingServer:
         while (self._busy is not None or self.queue_length() > 0
                or self._retry_due
                or self.manager.next_due_ms() is not None):
-            t = self._next_event_ms(math.inf)
+            due = self.manager.next_due_ms()
+            t = self._next_event_ms(math.inf, self.clock.now_ms(),
+                                    self._busy, due)
             if t is None:
                 break
             self.clock.sleep_until(t)
-            self._process(max(t, self.clock.now_ms()))
-
-    def _next_event_ms(self, until_ms: float) -> float | None:
-        """Earliest actionable instant at or before ``until_ms``."""
-        now = self.clock.now_ms()
-        candidates: list[float] = []
-        if self._busy is not None:
-            candidates.append(self._busy[1])
-        if self.reporter is not None:
-            candidates.append(self.reporter.next_due_ms)
-        if self._retry_due:
-            candidates.append(max(self._retry_due[0][0], now))
-        if self.degraded and self._fault_times:
-            # The instant the oldest fault ages out of the pressure
-            # window (a possible degrade_exit).
-            candidates.append(
-                self._fault_times[0] + self.config.degrade_window_ms
-            )
-        if (self._recharacterize_due is not None
-                and self.queue_length() > 0):
-            candidates.append(max(self._recharacterize_due, now))
-        due = self.manager.next_due_ms()
-        if due is not None:
-            if due > now:
-                candidates.append(due)
-            elif self._poll_limit() != 0:
-                # Deferred (backpressured) work can be picked up now.
-                candidates.append(now)
-            # else: no room; the next completion will re-poll.
-        eligible = [c for c in candidates if c <= until_ms]
-        return min(eligible) if eligible else None
+            self._step(max(t, self.clock.now_ms()), due)
 
     def _poll_limit(self) -> int | None:
         """How many due requests may enter the queue right now."""
-        if self.config.shed_policy == "lowest-priority":
+        if not self._backpressure:
             return None  # take everything; shedding restores the bound
         return max(self.config.max_queue - self.queue_length(), 0)
 
-    def _process(self, now: float) -> None:
-        """Handle everything actionable at instant ``now``."""
-        if self._busy is not None and self._busy[1] <= now:
+    def _step(self, now: float, due: float | None) -> None:
+        """Handle everything actionable at instant ``now``.
+
+        The stages run in a fixed order -- completion, retries, fault
+        pressure, due arrivals, shedding, re-key, dispatch, retirement,
+        re-key re-arm, report -- each behind the cheap test that says
+        it has work, so an instant costs what actually happens at it.
+        ``due`` is the sessions' earliest due as the loop last read it;
+        nothing before the admission stage can move a due earlier.
+        """
+        busy = self._busy
+        if busy is not None and busy[1] <= now:
             self._complete()
-        self._requeue_retries(now)
-        self._update_degrade(now)
-        self._admit_due(now)
-        self._recharacterize(now)
-        self._dispatch(now)
+        retry = self._retry_due
+        grew = bool(retry) and retry[0][0] <= now
+        if grew:
+            self._requeue_retries(now)
+        if self._fault_times or self.degraded:
+            self._update_degrade(now)
+        if ((due is not None and due <= now) or self.obs is not None) \
+                and self._admit_due(now):
+            grew = True
+        if (grew and not self._backpressure
+                and self.queue_length() > self.config.max_queue):
+            self._shed(now)
+        if (self._recharacterize_due is not None
+                and now >= self._recharacterize_due):
+            self._recharacterize(now)
+        if self._busy is None:
+            self._dispatch(now)
         for session in self.manager.retire_exhausted(now):
             self._retire(session, now)
-        # (Re-)arm the periodic re-key only while there is queued work,
-        # so an idle server generates no wake-ups.
-        if not self._can_recharacterize or self.queue_length() == 0:
-            self._recharacterize_due = None
-        elif self._recharacterize_due is None:
-            self._recharacterize_due = now + self.config.recharacterize_ms
+        if self._can_recharacterize:
+            # (Re-)arm the periodic re-key only while there is queued
+            # work, so an idle server generates no wake-ups.
+            if self.queue_length() == 0:
+                self._recharacterize_due = None
+            elif self._recharacterize_due is None:
+                self._recharacterize_due = (now
+                                            + self.config.recharacterize_ms)
         if self.reporter is not None and self.reporter.due(now):
             stats = self.stats()
             self.reporter.report(stats)
             self.trace.record(now, "report",
                               detail=f"#{self.reporter.reports}")
 
-    def _admit_due(self, now: float) -> None:
-        """Move due session blocks into the scheduler queue."""
+    def _admit_due(self, now: float) -> bool:
+        """Move due session blocks into the scheduler queue.
+
+        Returns whether any request entered.
+        """
         limit = self._poll_limit()
         if limit == 0:
-            return
+            return False
         obs = self.obs
-        for request in self.manager.poll(now, limit):
+        requests = self.manager.poll(now, limit)
+        submit = self.scheduler.submit
+        head = self.service.head_cylinder
+        for request in requests:
             tracker = self._qos.get(request.stream_id)
             if tracker is not None:
                 tracker.on_issue()
             if obs is not None:
                 obs.on_arrival(request, now)
-            self.scheduler.submit(request, now,
-                                  self.service.head_cylinder)
-            if self._batched:
-                self._note_queued(request)
+            submit(request, now, head)
+            self._note_queued(request)
             if obs is not None:
                 obs.ensure_enqueued(request, now)
         if obs is not None:
             obs.on_queue_depth(now, self.queue_length())
-        if self.config.shed_policy == "lowest-priority":
-            self._shed_to_capacity(now)
+        return bool(requests)
 
     def _recharacterize(self, now: float) -> None:
         """Periodic re-key of the queue to the current clock and head."""
-        if (self._recharacterize_due is None
-                or now < self._recharacterize_due
-                or self.queue_length() == 0):
+        if self.queue_length() == 0:
             return
-        self._recharacterize_due = None  # re-armed at end of _process
+        self._recharacterize_due = None  # re-armed at the end of _step
         self.scheduler.recharacterize(  # type: ignore[attr-defined]
             now, self.service.head_cylinder
         )
         self.recharacterizations += 1
 
-    def _shed_to_capacity(self, now: float) -> None:
+    def _shed(self, now: float) -> None:
         """Evict lowest-priority queued victims until the bound holds.
 
-        One sorted bulk scan: the ``excess`` largest eligible victims
-        on the ``(priorities, deadline, request_id)`` key, taken in
-        descending order, are exactly the successive maxima the old
-        rescan-per-eviction loop picked (the key is a total order —
-        request ids are unique — and evicting the running maximum
-        never changes the remaining order).
-        """
-        if self._batched:
-            if self.queue_length() > self.config.max_queue:
-                self._shed_batched(now)
-            return
-        excess = self.queue_length() - self.config.max_queue
-        if excess <= 0:
-            return
-        victims = heapq.nlargest(
-            excess,
-            (r for r in self.scheduler.pending()
-             if r.request_id not in self._shed_pending),
-            key=lambda r: (r.priorities, r.deadline_ms, r.request_id),
-        )
-        for victim in victims:
-            self._shed_one(victim, now)
-
-    def _shed_batched(self, now: float) -> None:
-        """Shed via the lazy victim max-heap (batched engine).
-
-        Heap entries go stale when their request is popped or already
-        shed; they are discarded on surfacing.  The surviving top is
-        the same ``(priorities, deadline, request_id)`` maximum the
-        legacy scan takes, in the same order.
+        Victims come off a lazy max-heap on the ``(priorities,
+        deadline, request_id)`` key.  Entries go stale when their
+        request is popped or already shed and are discarded on
+        surfacing; the surviving top is the largest eligible key,
+        taken in descending order.
         """
         excess = self.queue_length() - self.config.max_queue
         heap = self._shed_heap
@@ -707,8 +686,7 @@ class StreamingServer:
                 self.obs.on_requeue(request, now, attempt=attempts + 1)
             self.scheduler.submit(request, now,
                                   self.service.head_cylinder)
-            if self._batched:
-                self._note_queued(request)
+            self._note_queued(request)
             self.trace.record(now, "retry",
                               stream_id=request.stream_id,
                               request_id=request.request_id,
@@ -785,14 +763,15 @@ class StreamingServer:
             )
             if request is None:
                 return
-            if self._batched:
-                self._note_popped(request)
+            self._ledger.remove(request.priorities)
+            self._queued_ids.discard(request.request_id)
             if request.request_id in self._shed_pending:
                 # Already counted as shed; let the scheduler forget it.
                 self._shed_pending.discard(request.request_id)
                 self.scheduler.on_served(request, now)
                 continue
-            self.metrics.note_queue_length(self.queue_length() + 1)
+            self.metrics.note_queue_length(
+                len(self._queued_ids) - len(self._shed_pending) + 1)
             if self.config.drop_expired and now >= request.deadline_ms:
                 self.expired += 1
                 self.metrics.on_complete(request, now, dropped=True)
@@ -813,15 +792,10 @@ class StreamingServer:
                     continue
                 if outcome == "abort":
                     return
-            if self._batched:
-                # Same tallies as scanning pending(): the ledger holds
-                # exactly the still-queued requests (shed zombies
-                # included, as in the legacy scan).
-                self.metrics.add_inversions(
-                    self._ledger.inversions_of(  # type: ignore[union-attr]
-                        request.priorities))
-            else:
-                self.metrics.on_dispatch(request, self.scheduler.pending())
+            # Same tallies as scanning pending(): the ledger holds
+            # exactly the still-queued requests, shed zombies included.
+            self.metrics.add_inversions(
+                self._ledger.inversions_of(request.priorities))
             record = self.service.serve(request, now)
             total_ms = record.total_ms
             if self.faults is not None:

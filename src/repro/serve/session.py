@@ -19,16 +19,16 @@ requests.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.request import DiskRequest
 from repro.disk.disk import FILE_BLOCK_BYTES
 from repro.disk.geometry import DiskGeometry
-from repro.sim.rng import derive
 from repro.sim.soa import ServeColumns
 from repro.workloads.multimedia import stream_period_ms
 
@@ -79,13 +79,17 @@ class StreamSpec:
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_mbps <= 0:
-            raise ValueError("rate_mbps must be positive")
+        # A zero period (infinite rate) would make one session due
+        # forever at one instant; NaN compares false everywhere.
+        if not (math.isfinite(self.rate_mbps) and self.rate_mbps > 0):
+            raise ValueError("rate_mbps must be finite and positive")
         if self.block_bytes < 1:
             raise ValueError("block_bytes must be >= 1")
         if self.blocks is not None and self.blocks < 1:
             raise ValueError("blocks must be >= 1 (or None)")
         lo, hi = self.deadline_range_ms
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("deadline_range_ms must be finite")
         if lo < 0 or hi < lo:
             raise ValueError("deadline_range_ms must satisfy 0 <= lo <= hi")
         if any(p < 0 for p in self.priorities):
@@ -129,6 +133,11 @@ class StreamSession:
     itself.
     """
 
+    __slots__ = ("stream_id", "spec", "opened_ms", "closed_ms",
+                 "_geometry", "_rng", "_index", "_max_block", "period_ms",
+                 "issued", "_plan", "_plan_due", "_plan_deadline",
+                 "_plan_cylinder", "_plan_chunk")
+
     def __init__(self, stream_id: int, spec: StreamSpec, opened_ms: float,
                  geometry: DiskGeometry, rng: Random) -> None:
         self.stream_id = stream_id
@@ -151,10 +160,11 @@ class StreamSession:
         self._plan: ServeColumns | None = None
         # Scalar mirrors of the plan columns (``tolist`` once per
         # chunk): consumption is per-request, and indexing Python
-        # lists hands back Python floats/ints directly.
-        self._plan_due: list[float] = []
-        self._plan_deadline: list[float] = []
-        self._plan_cylinder: list[int] = []
+        # lists hands back Python floats/ints directly.  Empty tuples
+        # until the first plan: most sparse sessions never plan.
+        self._plan_due: Sequence[float] = ()
+        self._plan_deadline: Sequence[float] = ()
+        self._plan_cylinder: Sequence[int] = ()
         self._plan_chunk = PLAN_CHUNK_FIRST
 
     @property
@@ -167,12 +177,23 @@ class StreamSession:
     @property
     def next_due_ms(self) -> float | None:
         """Arrival instant of the next block, or None when exhausted."""
-        if self.exhausted:
+        if self.closed_ms is not None:
             return None
-        return self.opened_ms + self._index * self.period_ms
+        index = self._index
+        blocks = self.spec.blocks
+        if blocks is not None and index >= blocks:
+            return None
+        return self.opened_ms + index * self.period_ms
 
     def close(self, now_ms: float) -> None:
+        """Stop issuing.  The deadline RNG (a few KB of generator
+        state) and any unconsumed plan are released: a closed session
+        never draws again, and the manager keeps it for QoS reporting
+        for the rest of the run."""
         self.closed_ms = now_ms
+        self._rng = None  # type: ignore[assignment]
+        self._plan = None
+        self._plan_due = self._plan_deadline = self._plan_cylinder = ()
 
     def issue(self, request_id: int) -> DiskRequest:
         """Build the next due request (advances the session)."""
@@ -344,19 +365,21 @@ class SessionManager:
     def __init__(self, geometry: DiskGeometry, *, seed: int = 0) -> None:
         self._geometry = geometry
         self._seed = seed
+        self._rng_prefix = f"{seed}:serve/"
         self._next_stream_id = 0
         self._next_request_id = 0
         self.sessions: dict[int, StreamSession] = {}
         #: Sessions that ended (kept for QoS reporting).
         self.closed: dict[int, StreamSession] = {}
-        #: Lazy (due_ms, stream_id) min-heap over the active sessions'
-        #: next block instants.  Every live session has exactly one
-        #: *current* entry (pushed at open and after each issue);
-        #: entries of closed/retired/advanced sessions go stale and are
-        #: discarded when they surface.  This turns the per-request
-        #: "scan every session" of the server loop into O(log n) — the
-        #: popped (due, stream_id) minimum is the same key the scan
-        #: minimized, so the issue order is bit-identical.
+        #: (due_ms, stream_id) min-heap over the active sessions' next
+        #: block instants.  Every live session has exactly one
+        #: *current* entry (pushed at open, replaced at each issue);
+        #: entries of closed sessions go stale and are dropped as soon
+        #: as they reach the top, so the head is always current and
+        #: :meth:`next_due_ms` is one read.  The popped (due,
+        #: stream_id) minimum is the key a scan of every session would
+        #: minimize, so the issue order is a pure function of the
+        #: population.
         self._due_heap: list[tuple[float, int]] = []
         #: Sessions whose final block just issued, awaiting
         #: :meth:`retire_exhausted`.  Only bounded titles ever land
@@ -380,7 +403,9 @@ class SessionManager:
         """Create a session (admission already granted)."""
         stream_id = self._next_stream_id
         self._next_stream_id += 1
-        rng = derive(self._seed, "serve", stream_id)
+        # derive(seed, "serve", stream_id), with the key prefix built
+        # once per manager.
+        rng = Random(self._rng_prefix + str(stream_id))
         session = StreamSession(stream_id, spec, now_ms, self._geometry, rng)
         self.sessions[stream_id] = session
         due = session.next_due_ms
@@ -393,13 +418,15 @@ class SessionManager:
         session = self.sessions.pop(stream_id)
         session.close(now_ms)
         self.closed[stream_id] = session
+        self._settle()
         return session
 
     def retire(self, session: StreamSession, now_ms: float) -> None:
         """Move one finished session into ``closed``."""
         self.sessions.pop(session.stream_id, None)
-        session.closed_ms = now_ms
+        session.close(now_ms)
         self.closed[session.stream_id] = session
+        self._settle()
 
     def retire_exhausted(self, now_ms: float) -> list[StreamSession]:
         """Move sessions whose titles finished into ``closed``.
@@ -422,21 +449,21 @@ class SessionManager:
         self._retire_pending.clear()
         return done
 
-    def _peek_due(self) -> tuple[float, StreamSession] | None:
-        """The valid heap minimum, discarding stale entries."""
+    def _settle(self) -> None:
+        """Drop stale entries until the heap head is current."""
         heap = self._due_heap
+        sessions = self.sessions
         while heap:
             due, stream_id = heap[0]
-            session = self.sessions.get(stream_id)
+            session = sessions.get(stream_id)
             if session is not None and session.next_due_ms == due:
-                return due, session
+                return
             heapq.heappop(heap)  # closed, retired, or already issued
-        return None
 
     def next_due_ms(self) -> float | None:
         """Earliest pending block instant across all sessions."""
-        head = self._peek_due()
-        return head[0] if head is not None else None
+        heap = self._due_heap
+        return heap[0][0] if heap else None
 
     def poll(self, now_ms: float, limit: int | None = None
              ) -> list[DiskRequest]:
@@ -451,19 +478,20 @@ class SessionManager:
         """
         out: list[DiskRequest] = []
         heap = self._due_heap
-        while limit is None or len(out) < limit:
-            head = self._peek_due()
-            if head is None or head[0] > now_ms:
-                break
-            session = head[1]
-            heapq.heappop(heap)
+        sessions = self.sessions
+        while (heap and heap[0][0] <= now_ms
+               and (limit is None or len(out) < limit)):
+            stream_id = heap[0][1]
+            session = sessions[stream_id]
             out.append(session.issue(self._next_request_id))
             self._next_request_id += 1
             due = session.next_due_ms
             if due is not None:
-                heapq.heappush(heap, (due, session.stream_id))
+                heapq.heapreplace(heap, (due, stream_id))
             else:
+                heapq.heappop(heap)
                 self._retire_pending.append(session)
+            self._settle()
         return out
 
     def poll_span(self, before_ms: float) -> tuple[
@@ -471,46 +499,52 @@ class SessionManager:
             list[tuple[float, "StreamSession"]]]:
         """Issue every request due strictly *before* ``before_ms``, bulk.
 
-        The batched serving loop's admission path: sessions are popped
+        The serving loop's span admission path: sessions are popped
         from the due heap as in :meth:`poll`, but instead of one issue
-        per pop, the popped session bulk-takes its whole run of
-        arrivals up to the *next* session's due instant (one
-        ``np.searchsorted`` over its
-        :class:`~repro.sim.soa.ServeColumns` plan).  A run is bounded
-        by ``min(before_ms, next head due)`` with ties excluded, so
-        equal-due arrivals still go through the heap and come out in
-        the same global ``(due instant, stream id)`` order :meth:`poll`
-        pops one at a time — request ids and order are bit-identical,
-        with no merge step.
+        per pop, the popped session takes its whole run of arrivals up
+        to the *next* session's due instant.  The run's head is one
+        scalar :meth:`StreamSession.issue`; only a run longer than one
+        block reads the rest from the session's
+        :class:`~repro.sim.soa.ServeColumns` plan, so sparse sessions
+        never pay for a plan.  A run is bounded by ``min(before_ms,
+        next head due)`` with ties excluded, so equal-due arrivals
+        still go through the heap and come out in the same global
+        ``(due instant, stream id)`` order :meth:`poll` pops one at a
+        time -- request ids and order are bit-identical, with no merge
+        step.
 
         Returns ``(requests, dues, exhausted)``: the issued requests,
         a parallel list of their due instants (Python floats,
         non-decreasing), and ``(last_due, session)`` for every bounded
         title that finished inside the span, in ``(last_due,
-        stream_id)`` order — the order the legacy loop retires them in
+        stream_id)`` order -- the order the event step retires them in
         (last issues come out in global order, so no sort is needed).
         """
         heap = self._due_heap
         requests: list[DiskRequest] = []
         dues_out: list[float] = []
         exhausted: list[tuple[float, StreamSession]] = []
-        while True:
-            head = self._peek_due()
-            if head is None or head[0] >= before_ms:
-                break
-            session = head[1]
-            heapq.heappop(heap)
-            nxt = self._peek_due()
-            bound = before_ms if nxt is None else min(before_ms, nxt[0])
-            session.ensure_plan()
-            count = session.planned_due_before(bound)
-            session.take_planned(count, self._next_request_id,
-                                 requests, dues_out)
-            self._next_request_id += count
-            if session.exhausted:
+        sessions = self.sessions
+        while heap and heap[0][0] < before_ms:
+            due, stream_id = heapq.heappop(heap)
+            session = sessions[stream_id]
+            self._settle()
+            bound = min(before_ms, heap[0][0]) if heap else before_ms
+            requests.append(session.issue(self._next_request_id))
+            dues_out.append(due)
+            self._next_request_id += 1
+            following = session.next_due_ms
+            if following is not None and following < bound:
+                session.ensure_plan()
+                count = session.planned_due_before(bound)
+                session.take_planned(count, self._next_request_id,
+                                     requests, dues_out)
+                self._next_request_id += count
+                following = session.next_due_ms
+            if following is None:
                 exhausted.append((dues_out[-1], session))
                 continue
-            heapq.heappush(heap, (session.next_due_ms, session.stream_id))
+            heapq.heappush(heap, (following, stream_id))
         return requests, dues_out, exhausted
 
     def materialize(self, until_ms: float) -> list[DiskRequest]:

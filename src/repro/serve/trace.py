@@ -77,6 +77,9 @@ TRACE_KINDS = (
     "degrade_exit",
 )
 
+#: Set form of :data:`TRACE_KINDS` for the per-event kind check.
+_CANONICAL = frozenset(TRACE_KINDS)
+
 #: Kinds added at runtime via :meth:`TraceLog.register_kind`.
 _REGISTERED_KINDS: set[str] = set()
 
@@ -84,6 +87,15 @@ _REGISTERED_KINDS: set[str] = set()
 def known_trace_kinds() -> tuple[str, ...]:
     """Every currently-valid kind: canonical first, then registered."""
     return TRACE_KINDS + tuple(sorted(_REGISTERED_KINDS))
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _CANONICAL and kind not in _REGISTERED_KINDS:
+        raise ValueError(
+            f"unknown trace kind {kind!r}; "
+            f"expected one of {known_trace_kinds()} "
+            f"(see TraceLog.register_kind)"
+        )
 
 
 @dataclass(frozen=True)
@@ -97,12 +109,7 @@ class TraceEvent:
     detail: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in TRACE_KINDS and self.kind not in _REGISTERED_KINDS:
-            raise ValueError(
-                f"unknown trace kind {self.kind!r}; "
-                f"expected one of {known_trace_kinds()} "
-                f"(see TraceLog.register_kind)"
-            )
+        _check_kind(self.kind)
 
     def as_dict(self) -> dict[str, object]:
         """Flat dict form (CSV / JSON-lines export), schema-versioned."""
@@ -123,7 +130,10 @@ class TraceLog:
     ``capacity`` bounds retention (oldest events are discarded first) so
     a long-lived server cannot grow without limit; the per-kind counters
     keep counting across evictions, so QoS accounting stays exact even
-    when the event bodies have been dropped.
+    when the event bodies have been dropped.  Events are retained as
+    plain tuples, which the cyclic garbage collector stops tracking, so
+    a large log does not slow every later collection; readers get
+    :class:`TraceEvent` views.
     """
 
     capacity: int | None = None
@@ -158,20 +168,25 @@ class TraceLog:
         return kind
 
     def record(self, time_ms: float, kind: str, *, stream_id: int = -1,
-               request_id: int = -1, detail: str = "") -> TraceEvent:
+               request_id: int = -1, detail: str = "") -> None:
         """Append one event and bump its kind counter."""
-        event = TraceEvent(time_ms, kind, stream_id, request_id, detail)
-        self._events.append(event)
+        _check_kind(kind)
+        row = (time_ms, kind, stream_id, request_id, detail)
+        self._events.append(row)
         self._counts[kind] += 1
         if self.sink is not None:
-            self.sink(event)
-        return event
+            self.sink(TraceEvent(*row))
+
+    def rows(self) -> Iterator[tuple[float, str, int, int, str]]:
+        """Retained events as plain ``(time_ms, kind, stream_id,
+        request_id, detail)`` tuples (bulk serialization)."""
+        return iter(self._events)
 
     def events(self, kind: str | None = None) -> list[TraceEvent]:
         """Retained events, optionally filtered by kind."""
         if kind is None:
-            return list(self._events)
-        return [e for e in self._events if e.kind == kind]
+            return [TraceEvent(*row) for row in self._events]
+        return [TraceEvent(*row) for row in self._events if row[1] == kind]
 
     def count(self, kind: str) -> int:
         """Lifetime number of events of ``kind`` (eviction-proof)."""
@@ -190,14 +205,14 @@ class TraceLog:
         """
         written = 0
         with open(path, "w", encoding="utf-8") as fh:
-            for event in self._events:
+            for event in self:
                 fh.write(json.dumps(event.as_dict(), sort_keys=True))
                 fh.write("\n")
                 written += 1
         return written
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return (TraceEvent(*row) for row in self._events)
 
     def __len__(self) -> int:
         """Number of *retained* events (≤ lifetime total when bounded)."""

@@ -88,16 +88,16 @@ class SimulationResult:
         return self.metrics.seek_ms
 
 
-#: Environment override of the *serving* loop
-#: (:class:`repro.serve.StreamingServer`) when ``engine`` is not passed
-#: explicitly.  The sim and array tiers have a single loop and ignore it.
+#: Environment variable carrying the recorded engine tag.  Every tier
+#: (sim, array, serving) has a single loop, so the tag selects nothing;
+#: it is validated and recorded with runs as provenance.
 ENGINE_ENV = "REPRO_SIM_ENGINE"
 
 ENGINES = ("legacy", "batched")
 
 
 def resolve_engine(engine: str | None) -> str:
-    """Validate the serving-loop choice; None defers to $REPRO_SIM_ENGINE."""
+    """Validate an engine tag; None defers to $REPRO_SIM_ENGINE."""
     if engine is None:
         engine = os.environ.get(ENGINE_ENV) or "legacy"
     if engine not in ENGINES:

@@ -109,18 +109,18 @@ class ServeColumns:
 
     Each :class:`repro.serve.session.StreamSession` issues an arithmetic
     arrival sequence — ``due = opened + index * period`` — with a block
-    walk and one RNG deadline draw per request.  The batched serving
-    loop plans a chunk of that sequence ahead of time as three parallel
-    columns (due, deadline, cylinder), indexed by the session's issue
-    counter, so the epoch admission path can count and take due spans
-    with ``np.searchsorted`` instead of per-request heap churn.
+    walk and one RNG deadline draw per request.  The serving loop's
+    span admission plans a chunk of that sequence ahead of time as
+    three parallel columns (due, deadline, cylinder), indexed by the
+    session's issue counter, so a run of arrivals longer than one
+    block is taken without per-request heap churn.
 
     The arithmetic is element-for-element the scalar path's: dues via
     one float64 multiply-add, deadlines by adding the session RNG's
     draws (consumed in issue order at plan time) to the dues, cylinders
     through :meth:`repro.disk.geometry.DiskGeometry.block_cylinders`.
     A plan therefore never changes observable behaviour, only when the
-    work happens — the legacy ``issue()`` consumes from the same plan.
+    work happens — the scalar ``issue()`` consumes from the same plan.
     """
 
     stream_id: int
@@ -168,7 +168,7 @@ class ServeInversionLedger:
     def inversions_of(self, priorities: Sequence[int]) -> list[int]:
         """Waiting requests strictly above ``priorities``, per dim.
 
-        Call after :meth:`remove`, mirroring the legacy engine where
+        Call after :meth:`remove`, mirroring the reference loop where
         the dispatched request is already out of ``pending()``.
         """
         return [sum(self._counts[k][:level])

@@ -1,26 +1,33 @@
-"""Reference loops for the differential tests: one heap event per request.
+"""Reference loops for the differential tests: one event at a time.
 
 :func:`repro.sim.run_simulation` and
 :func:`repro.sim.run_array_simulation` plan their runs over arrival
-columns, lane heaps and vectorized epochs.  The loops here are the
-plain event-heap formulation they replaced -- every arrival, every
-completion and every refresh tick is its own
-:class:`~repro.sim.engine.EventQueue` event, and priority inversions
-are counted by scanning the waiting queue at each dispatch.  They are
+columns, lane heaps and vectorized epochs, and
+:class:`repro.serve.StreamingServer` admits arrival spans in bulk and
+keeps its inversion and shed bookkeeping incrementally.  The loops
+here are the plain formulations they replaced -- every arrival, every
+completion and every refresh tick is its own event, priority
+inversions are counted by scanning the waiting queue at each
+dispatch, and shed victims are found by scanning it too.  They are
 slow and obviously right; the differential batteries
-(``tests/test_engine_differential.py``) and the golden replays
-(``tests/test_determinism_golden.py``) require the shipped loops to
-reproduce them bit for bit.
+(``tests/test_engine_differential.py``,
+``tests/test_serve_engine_differential.py``) and the golden replays
+(``tests/test_determinism_golden.py``, ``tests/test_cluster_golden.py``)
+require the shipped loops to reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import heapq
+import math
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, Sequence
 from unittest import mock
 
 from repro.core.request import DiskRequest
 from repro.obs.observer import Observer, live
 from repro.schedulers.base import Scheduler
+from repro.serve.server import StreamingServer
 from repro.sim import array
 from repro.sim.engine import EventQueue
 from repro.sim.metrics import MetricsCollector
@@ -304,3 +311,219 @@ def run_array_simulation(*args, **kwargs) -> array.ArrayResult:
     """
     with mock.patch.object(array, "_ArrayState", _HeapArrayState):
         return array.run_array_simulation(*args, **kwargs)
+
+
+# -- serving loop -------------------------------------------------------------
+
+class LegacyStreamingServer(StreamingServer):
+    """Reference for :class:`repro.serve.StreamingServer`'s loop.
+
+    Same admission, fault, degrade and completion bookkeeping; the loop
+    steps one event instant at a time through every stage, counts
+    inversions by scanning ``pending()``, sheds by scanning the queue
+    for the largest victims, and reads the queue length from the
+    scheduler.
+    """
+
+    def queue_length(self) -> int:
+        return len(self.scheduler) - len(self._shed_pending)
+
+    def run_until(self, until_ms: float) -> None:
+        while True:
+            t = self._legacy_next_event_ms(until_ms)
+            if t is None:
+                break
+            self.clock.sleep_until(t)
+            self._process(max(t, self.clock.now_ms()))
+        self.clock.sleep_until(until_ms)
+
+    def quiesce(self) -> None:
+        for session in self.manager:
+            if session.spec.blocks is None:
+                raise RuntimeError(
+                    f"stream {session.stream_id} is open-ended; "
+                    "close it before quiescing"
+                )
+        while (self._busy is not None or self.queue_length() > 0
+               or self._retry_due
+               or self.manager.next_due_ms() is not None):
+            t = self._legacy_next_event_ms(math.inf)
+            if t is None:
+                break
+            self.clock.sleep_until(t)
+            self._process(max(t, self.clock.now_ms()))
+
+    def _legacy_next_event_ms(self, until_ms: float) -> float | None:
+        now = self.clock.now_ms()
+        candidates: list[float] = []
+        if self._busy is not None:
+            candidates.append(self._busy[1])
+        if self.reporter is not None:
+            candidates.append(self.reporter.next_due_ms)
+        if self._retry_due:
+            candidates.append(max(self._retry_due[0][0], now))
+        if self.degraded and self._fault_times:
+            candidates.append(
+                self._fault_times[0] + self.config.degrade_window_ms
+            )
+        if (self._recharacterize_due is not None
+                and self.queue_length() > 0):
+            candidates.append(max(self._recharacterize_due, now))
+        due = self.manager.next_due_ms()
+        if due is not None:
+            if due > now:
+                candidates.append(due)
+            elif self._poll_limit() != 0:
+                candidates.append(now)
+        eligible = [c for c in candidates if c <= until_ms]
+        return min(eligible) if eligible else None
+
+    def _process(self, now: float) -> None:
+        if self._busy is not None and self._busy[1] <= now:
+            self._complete()
+        self._legacy_requeue_retries(now)
+        self._update_degrade(now)
+        self._legacy_admit_due(now)
+        self._legacy_recharacterize(now)
+        self._legacy_dispatch(now)
+        for session in self.manager.retire_exhausted(now):
+            self._retire(session, now)
+        if not self._can_recharacterize or self.queue_length() == 0:
+            self._recharacterize_due = None
+        elif self._recharacterize_due is None:
+            self._recharacterize_due = now + self.config.recharacterize_ms
+        if self.reporter is not None and self.reporter.due(now):
+            stats = self.stats()
+            self.reporter.report(stats)
+            self.trace.record(now, "report",
+                              detail=f"#{self.reporter.reports}")
+
+    def _legacy_admit_due(self, now: float) -> None:
+        limit = self._poll_limit()
+        if limit == 0:
+            return
+        obs = self.obs
+        for request in self.manager.poll(now, limit):
+            tracker = self._qos.get(request.stream_id)
+            if tracker is not None:
+                tracker.on_issue()
+            if obs is not None:
+                obs.on_arrival(request, now)
+            self.scheduler.submit(request, now,
+                                  self.service.head_cylinder)
+            if obs is not None:
+                obs.ensure_enqueued(request, now)
+        if obs is not None:
+            obs.on_queue_depth(now, self.queue_length())
+        if self.config.shed_policy == "lowest-priority":
+            excess = self.queue_length() - self.config.max_queue
+            if excess > 0:
+                victims = heapq.nlargest(
+                    excess,
+                    (r for r in self.scheduler.pending()
+                     if r.request_id not in self._shed_pending),
+                    key=lambda r: (r.priorities, r.deadline_ms,
+                                   r.request_id),
+                )
+                for victim in victims:
+                    self._shed_one(victim, now)
+
+    def _legacy_requeue_retries(self, now: float) -> None:
+        while self._retry_due and self._retry_due[0][0] <= now:
+            _due, _rid, request = heapq.heappop(self._retry_due)
+            self.faults.note_retry()
+            attempts = self._attempts.get(request.request_id, 0)
+            if self.obs is not None:
+                self.obs.on_requeue(request, now, attempt=attempts + 1)
+            self.scheduler.submit(request, now,
+                                  self.service.head_cylinder)
+            self.trace.record(now, "retry",
+                              stream_id=request.stream_id,
+                              request_id=request.request_id,
+                              detail=f"attempt={attempts + 1}")
+
+    def _legacy_recharacterize(self, now: float) -> None:
+        if (self._recharacterize_due is None
+                or now < self._recharacterize_due
+                or self.queue_length() == 0):
+            return
+        self._recharacterize_due = None
+        self.scheduler.recharacterize(now, self.service.head_cylinder)
+        self.recharacterizations += 1
+
+    def _legacy_dispatch(self, now: float) -> None:
+        while self._busy is None:
+            request = self.scheduler.next_request(
+                now, self.service.head_cylinder
+            )
+            if request is None:
+                return
+            if request.request_id in self._shed_pending:
+                self._shed_pending.discard(request.request_id)
+                self.scheduler.on_served(request, now)
+                continue
+            self.metrics.note_queue_length(self.queue_length() + 1)
+            if self.config.drop_expired and now >= request.deadline_ms:
+                self.expired += 1
+                self.metrics.on_complete(request, now, dropped=True)
+                self.scheduler.on_served(request, now)
+                tracker = self._qos.get(request.stream_id)
+                if tracker is not None:
+                    tracker.on_complete(now, missed=True, served=False)
+                self.trace.record(now, "miss",
+                                  stream_id=request.stream_id,
+                                  request_id=request.request_id,
+                                  detail="expired")
+                if self.obs is not None:
+                    self.obs.on_drop(request, now, "expired")
+                continue
+            if self.faults is not None:
+                outcome = self._fault_attempt(request, now)
+                if outcome == "gave_up":
+                    continue
+                if outcome == "abort":
+                    return
+            self.metrics.on_dispatch(request, self.scheduler.pending())
+            record = self.service.serve(request, now)
+            total_ms = record.total_ms
+            if self.faults is not None:
+                self._attempts.pop(request.request_id, None)
+                total_ms += self.faults.service_penalty_ms(
+                    0, now, record.total_ms
+                )
+            self.metrics.on_service(record.seek_ms, record.latency_ms,
+                                    total_ms - record.total_ms
+                                    + record.transfer_ms)
+            self.dispatched += 1
+            self._busy = (request, now + total_ms)
+            self.trace.record(now, "dispatch",
+                              stream_id=request.stream_id,
+                              request_id=request.request_id)
+            if self.obs is not None:
+                self.obs.on_dispatch(request, now)
+                self.obs.on_service(
+                    request, now, seek_ms=record.seek_ms,
+                    latency_ms=record.latency_ms,
+                    transfer_ms=total_ms - record.seek_ms
+                    - record.latency_ms,
+                )
+            return
+
+
+@contextmanager
+def legacy_serving() -> Iterator[None]:
+    """Build every :class:`StreamingServer` as the reference loop.
+
+    Patches the class where the serving entry points look it up -- the
+    package root (the cluster cell imports it from there), the serve
+    ramp and the faults scenario -- for the block's duration.  The
+    cluster cells must then run in this process (``jobs=1``).
+    """
+    import repro.serve
+    from repro.experiments import faults_scenario, serve_demo
+
+    with ExitStack() as stack:
+        for module in (repro.serve, serve_demo, faults_scenario):
+            stack.enter_context(mock.patch.object(
+                module, "StreamingServer", LegacyStreamingServer))
+        yield

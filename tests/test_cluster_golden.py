@@ -4,7 +4,9 @@ A seeded 4-array scenario with one mid-ramp disk failure produces a
 fixed admit/spill/reject/migrate decision log
 (``tests/golden/cluster_trace.txt``), byte-identical across sessions,
 and a fleet fingerprint (decision log + per-array serving-trace
-digests) identical between serial and ``--jobs 4`` execution.
+digests) identical between serial and ``--jobs 4`` execution and
+between the serving loop and the reference loop in
+``tests/legacy_oracle.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.experiments.cluster_demo import (
     make_config,
 )
 from repro.parallel import run_cells, run_cluster_cell
+from tests.legacy_oracle import legacy_serving
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -90,6 +93,11 @@ def test_fleet_fingerprint_serial_equals_jobs_4():
                                           jobs=4))
     assert serial.fingerprint() == fanned.fingerprint()
     assert serial.as_dict() == fanned.as_dict()
+    # ... and equal to the reference serving loop's.
+    with legacy_serving():
+        oracle = build_report(plan, run_cells(run_cluster_cell, cells,
+                                              jobs=1))
+    assert serial.fingerprint() == oracle.fingerprint()
     # The failure really interrupted service on the failed array.
     assert plan.ledger.migrated >= 1
     assert plan.ledger.within_bound()

@@ -6,7 +6,8 @@ benchmark assertions stable.  The serving layer gets the same
 treatment at event granularity: two identical-seed ramps must replay a
 byte-identical :class:`~repro.serve.TraceLog`, and a small pinned
 golden trace (``tests/golden/serve_trace.txt``) guards against
-accidental behavior drift between sessions.
+accidental behavior drift between sessions -- for the serving loop and
+for the reference serving loop in ``tests/legacy_oracle.py`` alike.
 
 The offline simulation loop gets its own pinned replays: the golden
 serve ramp and the golden cluster scenario are materialized offline and
@@ -79,9 +80,12 @@ def test_serve_trace_differs_across_seeds():
 
 
 def test_serve_trace_matches_golden():
-    """The pinned golden trace replays byte for byte."""
+    """The pinned golden trace replays byte for byte, through the
+    serving loop and through the reference loop in the tests."""
     golden = (GOLDEN_DIR / "serve_trace.txt").read_bytes()
     assert serve_trace(GOLDEN_SPEC) == golden.rstrip(b"\n")
+    with legacy_oracle.legacy_serving():
+        assert serve_trace(GOLDEN_SPEC) == golden.rstrip(b"\n")
 
 
 def regenerate_golden() -> None:

@@ -19,13 +19,18 @@ the whole accepted input space:
   ``recharacterize_every_ms`` refresh timers, live observers;
 * the RAID-5 array path: fault plans (failure windows, transient
   errors, latency spikes, thermal ramps), static degraded mode and
-  hot-spare rebuild.
+  hot-spare rebuild, exact-instant ties between arrivals, lane
+  completions and queued events, and failure windows shorter than one
+  service.
 
 A divergence here means the shipped loop changed semantics -- fix the
 loop, never the test.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +42,7 @@ from repro.core.config import (
     PRIORITY_ONLY,
     CascadedSFCConfig,
 )
+from repro.disk.disk import ServiceRecord, make_xp32150_disk
 from repro.faults import (DiskFailure, FaultPlan, LatencySpike,
                           RetryPolicy, ThermalRamp, TransientErrors)
 from repro.obs import Observer
@@ -94,7 +100,6 @@ def service_for(kind: str):
         return constant_service(2.5)
     if kind == "scaled":
         return priority_scaled_service(1.0, 0.8)
-    from repro.disk.disk import make_xp32150_disk
     from repro.sim.service import DiskService
     disk = make_xp32150_disk()
     disk.reset(0)
@@ -259,12 +264,12 @@ def array_fingerprint(result) -> tuple:
     )
 
 
-def run_array_both(requests, **kwargs) -> tuple:
+def run_array_both(requests, scheduler: str = "scan", **kwargs) -> tuple:
     prints = {}
     for name, simulate in ARRAY_SIMULATORS.items():
         prints[name] = array_fingerprint(simulate(
             requests,
-            lambda: make_scheduler(baseline("scan", priority_levels=4)),
+            lambda: make_scheduler(baseline(scheduler, priority_levels=4)),
             priority_levels=4, **kwargs,
         ))
     assert prints["shipped"] == prints["oracle"]
@@ -354,3 +359,73 @@ def test_array_rebuild_battery(seed, count, double, stripes, interval,
                    rebuild=RebuildConfig(stripes=stripes,
                                          interval_ms=interval,
                                          spare=spare))
+
+
+# -- exact-instant ties and sub-service failure windows ----------------------
+
+def whole_ms_disk():
+    """An XP32150 whose every service takes a whole number of ms.
+
+    With integral arrivals, rebuild intervals, retry backoffs and
+    failure edges, completions then land *exactly* on arrivals and on
+    queued events, so every tie-break of the lane loop is exercised.
+    """
+    disk = make_xp32150_disk()
+    serve = disk.serve
+
+    def serve_whole_ms(cylinder: int, nbytes: int) -> ServiceRecord:
+        record = serve(cylinder, nbytes)
+        return ServiceRecord(float(math.ceil(record.seek_ms)),
+                             float(math.ceil(record.latency_ms)),
+                             float(math.ceil(record.transfer_ms)))
+
+    disk.serve = serve_whole_ms  # type: ignore[method-assign]
+    return disk
+
+
+def integral_requests(count: int, seed: int) -> list:
+    """An array workload with every arrival and deadline on a whole ms."""
+    return [replace(r, arrival_ms=float(round(r.arrival_ms)),
+                    deadline_ms=float(round(r.deadline_ms)))
+            for r in ArrayWorkload(count=count,
+                                   mean_interarrival_ms=4.0).generate(seed)]
+
+
+@pytest.mark.parametrize("scheduler", ("scan", "edf"))
+@pytest.mark.parametrize("seed", (3, 11))
+def test_array_exact_ties_identical(seed, scheduler):
+    """Arrivals, lane completions, rebuild ticks, refresh ticks and
+    retries that fall on the same instant resolve in scheduling order,
+    as in the reference (rebuild before arrival, arrival before
+    completion, completion before retry)."""
+    prints = run_array_both(
+        integral_requests(140, seed),
+        scheduler=scheduler,
+        recharacterize_every_ms=7.0,
+        disk_factory=whole_ms_disk,
+        fault_plan=FaultPlan([
+            DiskFailure(disk=1, start_ms=60.0, end_ms=240.0),
+            TransientErrors(disk=3, start_ms=0.0, end_ms=600.0,
+                            probability=0.3),
+        ], seed=seed),
+        retry_policy=RetryPolicy(),
+        rebuild=RebuildConfig(stripes=24, interval_ms=5.0),
+    )
+    _, _, _, retries, _, rebuild_ops = prints
+    assert retries > 0 and rebuild_ops > 0
+
+
+@pytest.mark.parametrize("seed", (5, 17))
+def test_array_short_failure_windows_identical(seed):
+    """Failure windows far shorter than one service time open and
+    close while an op is in flight: the op must still fail (the window
+    overlapped its service), exactly as in the reference."""
+    windows = [DiskFailure(disk=k % 5, start_ms=13.0 + 37.0 * k,
+                           end_ms=13.0 + 37.0 * k + 1.5)
+               for k in range(16)]
+    _, _, _, retries, _, _ = run_array_both(
+        ArrayWorkload(count=150, mean_interarrival_ms=3.0).generate(seed),
+        fault_plan=FaultPlan(windows, seed=seed),
+        retry_policy=RetryPolicy(),
+    )
+    assert retries > 0

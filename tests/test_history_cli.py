@@ -27,6 +27,11 @@ REPO_ROOT = Path(__file__).parent.parent
 #: path) recorded with ``--engine legacy`` while the offline simulator
 #: still had a separate legacy loop.
 LEGACY_SIM_RUNS = REPO_ROOT / "tests" / "golden" / "legacy_sim_runs.sqlite"
+#: ``serve --quick``, ``faults --quick`` and ``cluster --quick``
+#: recorded with ``--engine legacy`` while the serving tier still had
+#: a separate legacy loop (and an ``engine`` field on its specs).
+LEGACY_SERVE_RUNS = (REPO_ROOT / "tests" / "golden"
+                     / "legacy_serve_runs.sqlite")
 
 
 @pytest.fixture
@@ -213,6 +218,27 @@ class TestLegacyRecordedSimRuns:
         runs = SqliteRunStore(store_path).list(kind="run")
         assert sorted((run.label, run.engine) for run in runs) == [
             ("fig11", "legacy"), ("fig5", "legacy")]
+        for run in runs:
+            assert main(["history", "replay", str(run.run_id),
+                         "--store", store_path]) == 0
+            assert "byte-for-byte" in capsys.readouterr().out
+
+
+class TestLegacyRecordedServeRuns:
+    def test_legacy_serve_runs_replay_byte_for_byte(self, tmp_path,
+                                                    capsys):
+        """Serving runs recorded under the removed legacy serving loop
+        still replay through the one loop, byte for byte (their stored
+        configs still carry the retired ``engine`` spec field)."""
+        store_path = str(tmp_path / "legacy_serve_runs.sqlite")
+        shutil.copyfile(LEGACY_SERVE_RUNS, store_path)
+        store = SqliteRunStore(store_path)
+        runs = store.list()
+        assert sorted((run.kind, run.engine) for run in runs) == [
+            ("cluster", "legacy"), ("faults", "legacy"),
+            ("serve", "legacy")]
+        assert all("engine" in store.get(run.run_id).config
+                   for run in runs if run.kind != "faults")
         for run in runs:
             assert main(["history", "replay", str(run.run_id),
                          "--store", store_path]) == 0

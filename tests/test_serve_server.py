@@ -42,6 +42,17 @@ def make_server(geometry, *, service_ms=30.0, admission=None,
     )
 
 
+class TestServerConfig:
+    @pytest.mark.parametrize("field", ("recharacterize_ms",
+                                       "degrade_window_ms"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    def test_non_finite_periods_rejected(self, field, value):
+        """A NaN re-key period never fires and a NaN pressure window
+        never ages a fault out; both are refused up front."""
+        with pytest.raises(ValueError, match=field):
+            ServerConfig(**{field: value})
+
+
 class TestScriptedScenario:
     """Two 5-block streams, 30 ms constant service, no overload."""
 

@@ -30,6 +30,20 @@ class TestStreamSpec:
         with pytest.raises(ValueError):
             spec(priorities=(-1,))
 
+    @pytest.mark.parametrize("rate", (float("inf"), float("nan")))
+    def test_non_finite_rate_rejected(self, rate):
+        """An infinite rate has a zero period (one session due forever
+        at one instant); a NaN rate is due never."""
+        with pytest.raises(ValueError, match="rate_mbps"):
+            spec(rate=rate)
+
+    @pytest.mark.parametrize("window", (
+        (float("nan"), 10.0), (10.0, float("nan")),
+        (10.0, float("inf")), (float("-inf"), 10.0)))
+    def test_non_finite_deadline_range_rejected(self, window):
+        with pytest.raises(ValueError, match="deadline_range_ms"):
+            spec(deadline_range_ms=window)
+
     def test_with_priorities(self):
         assert spec().with_priorities((7,)).priorities == (7,)
 
