@@ -120,6 +120,11 @@ class DiskGeometry:
             per_cyl.tolist(),
             self._zone_first.tolist(),  # type: ignore[attr-defined]
         )))
+        # Sectors per track of every cylinder, for the per-request
+        # service path: one list index instead of the zone bisection.
+        object.__setattr__(self, "cylinder_spt", np.repeat(
+            [z.sectors_per_track for z in self.zones],
+            [z.cylinders for z in self.zones]).tolist())
 
     def zone_of(self, cylinder: int) -> Zone:
         """The zone containing ``cylinder``."""
@@ -134,7 +139,8 @@ class DiskGeometry:
         return self.zones[lo]
 
     def sectors_per_track(self, cylinder: int) -> int:
-        return self.zone_of(cylinder).sectors_per_track
+        self._check_cylinder(cylinder)
+        return self.cylinder_spt[cylinder]  # type: ignore[attr-defined]
 
     def cylinder_capacity_bytes(self, cylinder: int) -> int:
         """Bytes stored on one cylinder."""

@@ -43,7 +43,7 @@ from repro.obs.profile import instrumented
 from repro.schedulers.base import Scheduler
 from repro.sim.metrics import MetricsCollector
 from repro.sim.service import ServiceModel
-from repro.sim.soa import ServeInversionLedger
+from repro.sim.soa import InversionLedger
 
 from .admission import (
     AdmissionDecision,
@@ -145,7 +145,7 @@ class StreamingServer:
         #: Per-dimension level occupancy of the waiting set: dispatch
         #: reads its priority inversions here instead of scanning the
         #: queue.
-        self._ledger = ServeInversionLedger(self.config.priority_dims)
+        self._ledger = InversionLedger(self.config.priority_dims)
         #: Lazy max-heap over queued requests on the shed-victim key
         #: ``(priorities, deadline, request_id)``.
         self._shed_heap: list[

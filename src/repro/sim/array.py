@@ -44,6 +44,7 @@ from repro.schedulers.base import Scheduler
 
 from .engine import EventQueue
 from .metrics import MetricsCollector
+from .soa import InversionLedger
 
 if TYPE_CHECKING:
     # repro.faults builds on repro.sim.rng, so the fault types this
@@ -123,6 +124,9 @@ class _MemberDisk:
         self.scheduler = scheduler
         self.metrics = metrics
         self.busy = False
+        #: Priority levels of the ops in the member's queue, for
+        #: charging inversions at dispatch without scanning it.
+        self.ledger = InversionLedger(metrics.priority_dims)
 
 
 @dataclass
@@ -316,6 +320,7 @@ class _ArrayState:
         self.op_meta[physical.request_id] = (logical_id, epoch)
         member.scheduler.submit(physical, self.queue.now,
                                 member.disk.head_cylinder)
+        member.ledger.add(priorities)
         self.dispatch(member)
         if len(member.scheduler):
             self._arm_refresh()
@@ -366,10 +371,12 @@ class _ArrayState:
             if self._member_failed(member.index, now):
                 # The member died with this op still queued: fail it
                 # without consuming (nonexistent) disk time.
+                member.ledger.remove(physical.priorities)
                 member.scheduler.on_served(physical, now)
                 self._op_failed(physical)
                 continue
-            member.metrics.on_dispatch(physical, member.scheduler.pending())
+            member.ledger.charge(physical.priorities,
+                                 member.metrics.inversions_by_dim)
             record = member.disk.serve(physical.cylinder, physical.nbytes)
             total_ms = record.total_ms
             if self.plan is not None:

@@ -83,10 +83,10 @@ class MetricsCollector:
     def add_inversions(self, counts: Sequence[int]) -> None:
         """Credit pre-counted inversions, one count per dimension.
 
-        Used by :func:`repro.sim.run_simulation`, whose inversion
-        ledger counts the same strictly-higher-priority waiting
-        requests as :meth:`on_dispatch` without iterating the queue
-        (see :class:`repro.sim.soa.InversionLedger`).
+        Used by the serving loop (:class:`repro.serve.StreamingServer`),
+        whose inversion ledger counts the same strictly-higher-priority
+        waiting requests as :meth:`on_dispatch` without iterating the
+        queue (see :class:`repro.sim.soa.InversionLedger`).
         """
         by_dim = self.inversions_by_dim
         for k, count in enumerate(counts):

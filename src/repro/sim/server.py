@@ -25,9 +25,13 @@ request:
   cascaded stages with the fixed sweep origin -- the whole run's SFC
   keys are precomputed in a single batch call before the loop starts.
 * **Ledger inversions.**  Priority inversions are charged from
-  per-level occupancy tables (:class:`repro.sim.soa.InversionLedger`)
-  in O(levels) per dispatch instead of an O(queue x dims) scan over
-  the waiting requests; integer arithmetic, so tallies are exact.
+  per-level occupancy tables (:class:`repro.sim.soa.InversionLedger`,
+  keyed by the priority ranks the columns computed once) in O(levels)
+  per dispatch instead of an O(queue x dims) scan over the waiting
+  requests; integer arithmetic, so tallies are exact.
+* **One inlined step per request.**  Pop, ledger charge, disk service,
+  metrics and completion run in the loop body over locals, with no
+  per-request numpy scalar reads and no hops through handler methods.
 
 ``tests/legacy_oracle.py`` keeps the one-event-per-request heap loop
 this replaced; the differential tests and golden traces pin the two
@@ -70,7 +74,9 @@ class SimulationResult:
     scheduler_name: str
     metrics: MetricsCollector
     submitted: int
-    #: Requests still queued when the run stopped (0 unless truncated).
+    #: Submitted requests not completed (served or dropped) by the
+    #: stop: still queued, in flight, or not yet arrived.  0 unless
+    #: truncated; ``metrics.completed + unserved == submitted``.
     unserved: int
     #: Dispatch timeline, populated when run_simulation(record_timeline=True).
     timeline: list[TimelineEntry] | None = None
@@ -130,7 +136,8 @@ def run_simulation(requests: Sequence[DiskRequest],
         When False, late requests are still served and merely counted
         as misses (Sections 5.2-5.3).
     stop_at_ms:
-        Optional hard stop; requests still queued are reported in
+        Optional hard stop; every request not completed by then --
+        queued, in flight or yet to arrive -- is reported in
         :attr:`SimulationResult.unserved`.
     priority_dims / priority_levels:
         Shape of the metrics tables; inferred from the first request
@@ -176,18 +183,16 @@ def run_simulation(requests: Sequence[DiskRequest],
         metrics.publish_into(obs.registry)
 
     columns.sfc_key = precompute_sfc_keys(scheduler, columns, obs)
-    run = _Run(columns, scheduler, service, metrics,
-               drop_expired=drop_expired, stop_at_ms=stop_at_ms,
-               record_timeline=record_timeline,
-               recharacterize_every_ms=recharacterize_every_ms,
-               observer=obs)
-    run.execute()
+    timeline: list[TimelineEntry] | None = [] if record_timeline else None
+    _execute(columns, scheduler, service, metrics,
+             drop_expired=drop_expired, stop=stop_at_ms, timeline=timeline,
+             refresh_every=recharacterize_every_ms, obs=obs)
     return SimulationResult(
         scheduler_name=scheduler.name,
         metrics=metrics,
         submitted=len(ordered),
-        unserved=len(scheduler),
-        timeline=run.timeline,
+        unserved=len(ordered) - metrics.completed,
+        timeline=timeline,
     )
 
 
@@ -222,228 +227,185 @@ def precompute_sfc_keys(scheduler: Scheduler, columns: RequestColumns,
                               nows=columns.arrival_ms)
 
 
-class _Run:
-    """One execution: the barrier loop and its event handlers."""
+_ARRIVAL, _COMPLETION, _REFRESH = 1, 2, 3
 
-    def __init__(self, columns: RequestColumns, scheduler: Scheduler,
-                 service: ServiceModel, metrics: MetricsCollector, *,
-                 drop_expired: bool, stop_at_ms: float | None,
-                 record_timeline: bool,
-                 recharacterize_every_ms: float | None,
-                 observer: Observer | None) -> None:
-        self.columns = columns
-        self.scheduler = scheduler
-        self.service = service
-        self.metrics = metrics
-        self.drop_expired = drop_expired
-        self.stop_at_ms = stop_at_ms
-        self.refresh_every = recharacterize_every_ms
-        self.obs = observer
-        self.timeline: list[TimelineEntry] | None = (
-            [] if record_timeline else None)
-        self.ledger = InversionLedger(columns.priorities)
-        self.index_of = {id(request): i
-                         for i, request in enumerate(columns.requests)}
-        self.busy = False
-        self.now = 0.0
-        # Arrivals hold sequences 0..n-1; completions and refreshes
-        # draw n, n+1, ... in scheduling order, so (time, sequence)
-        # ties fire arrivals first, then dynamic events as scheduled.
-        self._seq = len(columns)
-        self._completion: tuple[float, int, DiskRequest] | None = None
-        self._refresh: tuple[float, int] | None = None
-        self._can_refresh = (
-            recharacterize_every_ms is not None
-            and getattr(scheduler, "recharacterize", None) is not None
-        )
 
-    # -- sequence / refresh bookkeeping -----------------------------------
+def _execute(columns: RequestColumns, scheduler: Scheduler,
+             service: ServiceModel, metrics: MetricsCollector, *,
+             drop_expired: bool, stop: float | None,
+             timeline: list[TimelineEntry] | None,
+             refresh_every: float | None, obs: Observer | None) -> None:
+    """The barrier loop, with the per-request step inlined.
 
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
+    Each iteration picks the next event -- the next arrival, the
+    in-flight completion or the refresh timer, ties broken by
+    sequence -- handles it, and then runs the dispatch step (pop,
+    ledger, disk service, metrics) while the disk is free.  Loop state
+    lives in locals; the scheduler, the service model and the
+    collector are reached through the same public calls, in the same
+    order, as the reference loop makes.
+    """
+    requests = columns.requests
+    arrival_ms = columns.arrival_ms
+    arrivals = arrival_ms.tolist()
+    keys = None if columns.sfc_key is None else columns.sfc_key.tolist()
+    ranks = columns.ranks
+    n = len(requests)
+    rank_of = {id(request): row for request, row in zip(requests, ranks)}
+    ledger = InversionLedger(len(ranks[0]) if n else 0)
+    add_waiting = ledger.add
+    inversions = metrics.inversions_by_dim
+    note_queue_length = metrics.queue_length.add
+    on_complete = metrics.on_complete
+    next_request = scheduler.next_request
+    on_served = scheduler.on_served
+    insert = scheduler.dispatcher.insert if keys is not None else None
+    serve = service.serve
+    can_refresh = (refresh_every is not None and getattr(
+        scheduler, "recharacterize", None) is not None)
 
-    def _arm_refresh(self) -> None:
-        """Arm the next periodic re-characterization (at most one
-        outstanding, and only while the scheduler holds work)."""
-        if not self._can_refresh or self._refresh is not None:
-            return
-        self._refresh = (self.now + self.refresh_every, self._next_seq())
-
-    # -- the barrier loop --------------------------------------------------
-
-    def execute(self) -> None:
-        n = len(self.columns)
-        arrivals = self.columns.arrival_ms.tolist()
-        stop = self.stop_at_ms
-        i = 0
-        while True:
-            kind = None
-            time = seq = 0
-            if i < n:
-                kind, time, seq = "arrival", arrivals[i], i
-            completion = self._completion
-            if completion is not None and (
-                    kind is None
-                    or (completion[0], completion[1]) < (time, seq)):
-                kind, time, seq = "completion", completion[0], completion[1]
-            refresh = self._refresh
-            if refresh is not None and (
-                    kind is None or (refresh[0], refresh[1]) < (time, seq)):
-                kind, time, seq = "refresh", refresh[0], refresh[1]
-            if kind is None:
-                break
-            if stop is not None and time > stop:
-                self.now = stop
-                break
-            self.now = time
-            if kind == "arrival":
-                i = self._on_arrivals(i)
-            elif kind == "completion":
-                self._on_completion()
-            else:
-                self._on_refresh()
-
-    # -- event handlers ----------------------------------------------------
-
-    def _on_arrivals(self, i: int) -> int:
-        """Fire arrival ``i``; bulk-submit its whole epoch when legal."""
-        if not self.busy or self.obs is not None:
-            # Idle (each arrival may dispatch immediately) or observed
-            # (per-request hook order): one request at a time.
-            self._single_arrival(i)
-            return i + 1
-        if self._can_refresh and self._refresh is None:
-            # The first arrival of a busy epoch arms the refresh timer
-            # at its own clock; submit it alone so the barrier below
-            # sees the new timer.
-            self._single_arrival(i)
-            return i + 1
-        # Busy and unobserved: every arrival up to the next dynamic
-        # event is a pure submit (dispatch no-ops while busy, the
-        # refresh timer is already armed or impossible).  Arrivals tie
-        # ahead of dynamic events, so the span is inclusive of the
-        # barrier instant.
-        barrier = self._completion[0]
-        if self._refresh is not None and self._refresh[0] < barrier:
-            barrier = self._refresh[0]
-        if self.stop_at_ms is not None and self.stop_at_ms < barrier:
-            # Arrivals past the hard stop never fire; an arrival
-            # exactly at the stop instant still does.
-            barrier = self.stop_at_ms
-        end = int(np.searchsorted(self.columns.arrival_ms, barrier,
-                                  side="right"))
-        if end <= i:
-            end = i + 1
-        self._submit_span(i, end)
-        return end
-
-    def _single_arrival(self, i: int) -> None:
-        request = self.columns.requests[i]
-        now = self.now
-        obs = self.obs
-        if obs is not None:
-            obs.on_arrival(request, now)
-        self._submit_one(i, now)
-        if obs is not None:
-            obs.ensure_enqueued(request, now)
-            obs.on_queue_depth(now, len(self.scheduler))
-        self._try_dispatch()
-        if len(self.scheduler):
-            self._arm_refresh()
-
-    def _submit_one(self, i: int, now: float) -> None:
-        request = self.columns.requests[i]
-        keys = self.columns.sfc_key
-        if keys is not None:
-            self.scheduler.dispatcher.insert(request, float(keys[i]))
+    # Arrivals hold sequences 0..n-1; completions and refreshes draw
+    # n, n+1, ... in scheduling order, so (time, sequence) ties fire
+    # arrivals first, then dynamic events as scheduled.
+    seq = n
+    busy = False
+    in_flight: DiskRequest | None = None
+    done_at = 0.0
+    done_seq = 0
+    refresh_at: float | None = None
+    refresh_seq = 0
+    at = 0.0
+    i = 0
+    while True:
+        # -- the next event ------------------------------------------------
+        if i < n:
+            kind = _ARRIVAL
+            at = arrivals[i]
+            if busy and done_at < at:
+                kind = _COMPLETION
+                at = done_at
+        elif busy:
+            kind = _COMPLETION
+            at = done_at
         else:
-            self.scheduler.submit(request, now,
-                                  self.service.head_cylinder)
-        self.ledger.add(i)
+            kind = 0
+        if refresh_at is not None and (
+                not kind or refresh_at < at
+                or (kind == _COMPLETION and refresh_at == at
+                    and refresh_seq < done_seq)):
+            kind = _REFRESH
+            at = refresh_at
+        if not kind or (stop is not None and at > stop):
+            break
+        now = at
 
-    def _submit_span(self, start: int, end: int) -> None:
-        columns = self.columns
-        requests = columns.requests
-        keys = columns.sfc_key
-        ledger = self.ledger
-        if keys is not None:
-            insert = self.scheduler.dispatcher.insert
-            for j in range(start, end):
-                insert(requests[j], float(keys[j]))
-                ledger.add(j)
-            return
-        self.scheduler.submit_many(requests[start:end],
-                                   columns.arrival_ms[start:end],
-                                   self.service.head_cylinder)
-        for j in range(start, end):
-            ledger.add(j)
+        # -- the event -----------------------------------------------------
+        if kind == _ARRIVAL:
+            if busy and obs is None and (not can_refresh
+                                         or refresh_at is not None):
+                # Busy and unobserved, with the refresh timer armed or
+                # impossible: every arrival up to the next dynamic
+                # event is a pure submit.  Arrivals tie ahead of
+                # dynamic events, so the span includes the barrier
+                # instant; arrivals past the hard stop never fire.
+                barrier = done_at
+                if refresh_at is not None and refresh_at < barrier:
+                    barrier = refresh_at
+                if stop is not None and stop < barrier:
+                    barrier = stop
+                end = int(np.searchsorted(arrival_ms, barrier,
+                                          side="right"))
+                if end <= i:
+                    end = i + 1
+                if keys is not None:
+                    for j in range(i, end):
+                        insert(requests[j], keys[j])
+                        add_waiting(ranks[j])
+                else:
+                    scheduler.submit_many(requests[i:end],
+                                          arrival_ms[i:end],
+                                          service.head_cylinder)
+                    for j in range(i, end):
+                        add_waiting(ranks[j])
+                i = end
+                continue
+            # Idle (the arrival may dispatch at once), observed (per-
+            # request hook order) or the first arrival of a busy
+            # epoch, which arms the refresh timer at its own clock.
+            request = requests[i]
+            if obs is not None:
+                obs.on_arrival(request, now)
+            if keys is not None:
+                insert(request, keys[i])
+            else:
+                scheduler.submit(request, now, service.head_cylinder)
+            add_waiting(ranks[i])
+            i += 1
+            if obs is not None:
+                obs.ensure_enqueued(request, now)
+                obs.on_queue_depth(now, len(scheduler))
+        elif kind == _COMPLETION:
+            request = in_flight
+            in_flight = None
+            busy = False
+            on_complete(request, now)
+            on_served(request, now)
+            if obs is not None:
+                obs.on_complete(request, now,
+                                missed=now > request.deadline_ms)
+        else:
+            refresh_at = None
+            if not len(scheduler):
+                continue
+            scheduler.recharacterize(  # type: ignore[attr-defined]
+                now, service.head_cylinder)
 
-    def _try_dispatch(self) -> None:
-        """Start serving the scheduler's next pick if the disk is free."""
-        scheduler = self.scheduler
-        service = self.service
-        metrics = self.metrics
-        while not self.busy:
-            now = self.now
-            request = scheduler.next_request(now, service.head_cylinder)
+        # -- the dispatch step ---------------------------------------------
+        while not busy:
+            request = next_request(now, service.head_cylinder)
             if request is None:
-                return
-            index = self.index_of[id(request)]
-            self.ledger.remove(index)
-            metrics.note_queue_length(len(scheduler) + 1)
-            obs = self.obs
-            if self.drop_expired and now >= request.deadline_ms:
+                break
+            row = rank_of[id(request)]
+            note_queue_length(len(scheduler) + 1)
+            if drop_expired and now >= request.deadline_ms:
                 # The data is already useless; drop without disk time.
-                metrics.on_complete(request, now, dropped=True)
-                scheduler.on_served(request, now)
+                ledger.remove(row)
+                on_complete(request, now, dropped=True)
+                on_served(request, now)
                 if obs is not None:
                     obs.on_drop(request, now, "expired")
-                if self.timeline is not None:
-                    self.timeline.append(TimelineEntry(
+                if timeline is not None:
+                    timeline.append(TimelineEntry(
                         request.request_id, now, now,
                         len(scheduler), dropped=True,
                     ))
                 continue
-            metrics.add_inversions(self.ledger.inversions_of(index))
-            record = service.serve(request, now)
-            metrics.on_service(record.seek_ms, record.latency_ms,
-                               record.transfer_ms)
+            ledger.charge(row, inversions)
+            record = serve(request, now)
+            seek = record.seek_ms
+            latency = record.latency_ms
+            transfer = record.transfer_ms
+            metrics.seek_ms += seek
+            metrics.latency_ms += latency
+            metrics.transfer_ms += transfer
             if obs is not None:
                 obs.on_dispatch(request, now)
-                obs.on_service(request, now, seek_ms=record.seek_ms,
-                               latency_ms=record.latency_ms,
-                               transfer_ms=record.transfer_ms)
-            completion = now + record.total_ms
-            if self.timeline is not None:
-                self.timeline.append(TimelineEntry(
-                    request.request_id, now, completion,
-                    len(scheduler),
+                obs.on_service(request, now, seek_ms=seek,
+                               latency_ms=latency, transfer_ms=transfer)
+            done_at = now + (seek + latency + transfer)
+            if timeline is not None:
+                timeline.append(TimelineEntry(
+                    request.request_id, now, done_at, len(scheduler),
                 ))
-            self.busy = True
-            self._completion = (completion, self._next_seq(), request)
-            return
+            busy = True
+            in_flight = request
+            done_seq = seq
+            seq += 1
 
-    def _on_completion(self) -> None:
-        _, _, request = self._completion
-        self._completion = None
-        self.busy = False
-        now = self.now
-        self.metrics.on_complete(request, now)
-        self.scheduler.on_served(request, now)
-        if self.obs is not None:
-            self.obs.on_complete(request, now,
-                                 missed=now > request.deadline_ms)
-        self._try_dispatch()
-
-    def _on_refresh(self) -> None:
-        self._refresh = None
-        scheduler = self.scheduler
-        if len(scheduler):
-            scheduler.recharacterize(  # type: ignore[attr-defined]
-                self.now, self.service.head_cylinder
-            )
-            self._try_dispatch()
-            if len(scheduler):
-                self._arm_refresh()
+        # An arrival or a refresh that leaves work queued arms the
+        # next periodic re-characterization (at most one outstanding).
+        if (kind != _COMPLETION and can_refresh and refresh_at is None
+                and len(scheduler)):
+            refresh_at = now + refresh_every
+            refresh_seq = seq
+            seq += 1

@@ -1,9 +1,9 @@
 """Structure-of-arrays request columns for the simulation loop.
 
 :func:`repro.sim.server.run_simulation` keeps the whole workload as
-numpy columns -- arrival, per-dimension priorities, and the
-precomputed SFC key when the scheduler admits one -- and advances over
-them in vectorized epochs between event barriers.
+columns -- arrival, per-dimension priority ranks, and the precomputed
+SFC key when the scheduler admits one -- and advances over them in
+vectorized epochs between event barriers.
 
 The columns never replace the :class:`~repro.core.request.DiskRequest`
 objects (schedulers and metrics still receive the originals); they are
@@ -22,14 +22,16 @@ from repro.core.request import DiskRequest
 
 @dataclass
 class RequestColumns:
-    """The workload as parallel numpy columns, in arrival order."""
+    """The workload as parallel columns, in arrival order."""
 
-    requests: tuple[DiskRequest, ...]
+    requests: Sequence[DiskRequest]
     #: Arrival clamped to >= 0 -- the instant the arrival fires
     #: (``max(arrival_ms, 0.0)``), non-decreasing.
     arrival_ms: np.ndarray
-    #: ``(n, dims)`` int64 matrix of the priority vectors.
-    priorities: np.ndarray
+    #: Per request, the rank of its priority level among the distinct
+    #: levels of the workload, one rank per dimension: the
+    #: :class:`InversionLedger` keys of the request.
+    ranks: list[tuple[int, ...]]
     #: Precomputed whole-run v_c (float64), or None when the scheduler
     #: does not admit arrival-time precomputation.
     sfc_key: np.ndarray | None = None
@@ -37,6 +39,8 @@ class RequestColumns:
     @classmethod
     def from_requests(cls, ordered: Sequence[DiskRequest],
                       dims: int) -> "RequestColumns":
+        """Columns of ``ordered``, whose priority vectors all have
+        ``dims`` levels (the caller checked the lengths)."""
         n = len(ordered)
         arrival = np.empty(n, dtype=np.float64)
         priorities = np.empty((n, dims), dtype=np.int64)
@@ -44,11 +48,12 @@ class RequestColumns:
             arrival[i] = max(request.arrival_ms, 0.0)
             if dims:
                 priorities[i, :] = request.priorities
-        return cls(
-            requests=tuple(ordered),
-            arrival_ms=arrival,
-            priorities=priorities,
-        )
+        # One np.unique per dimension: the rank of each level among
+        # the workload's distinct levels, ordered like the levels.
+        ranks = [np.unique(priorities[:, k], return_inverse=True)[1].tolist()
+                 for k in range(dims)]
+        rows = list(zip(*ranks)) if dims else [()] * n
+        return cls(requests=ordered, arrival_ms=arrival, ranks=rows)
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -62,45 +67,55 @@ class InversionLedger:
     higher (a lower level).  Scanning the queue for that
     (``MetricsCollector.on_dispatch``) is an O(queue x dims) Python
     loop -- the dominant cost under load.  Priorities are small
-    integers, so the same count falls out of per-level occupancy
-    tables: rank every request's priority against the distinct levels
-    present in the workload, keep one waiting-count per level, and the
-    inversions charged to a dispatch are the occupancy strictly below
-    the dispatched request's rank.  Integer arithmetic throughout, so
-    the tallies are identical to the scan's, not approximations.
+    integers, so the same count falls out of per-dimension occupancy
+    tables: keep one waiting-count per key, and the inversions charged
+    to a dispatch are the occupancy strictly below the dispatched
+    request's key.  Integer arithmetic throughout, so the tallies are
+    identical to the scan's, not approximations.
+
+    A request's keys are one small non-negative int per dimension,
+    ordered like the priority levels they stand for.  The serving and
+    array tiers, whose request populations are open-ended, feed the
+    raw levels; :func:`repro.sim.run_simulation` feeds the dense ranks
+    of :attr:`RequestColumns.ranks`, so sparse or huge levels still
+    make short tables.  Tables grow on demand.
     """
 
-    def __init__(self, priorities: np.ndarray) -> None:
-        self._dims = priorities.shape[1] if priorities.ndim == 2 else 0
-        self._ranks: list[np.ndarray] = []
-        self._counts: list[list[int]] = []
-        for k in range(self._dims):
-            levels, ranks = np.unique(priorities[:, k],
-                                      return_inverse=True)
-            self._ranks.append(ranks.astype(np.int64))
-            self._counts.append([0] * len(levels))
+    __slots__ = ("_counts",)
 
-    def add(self, index: int) -> None:
-        """Request ``index`` joined the waiting set."""
-        for k in range(self._dims):
-            self._counts[k][self._ranks[k][index]] += 1
+    def __init__(self, dims: int) -> None:
+        self._counts: list[list[int]] = [[] for _ in range(dims)]
 
-    def remove(self, index: int) -> None:
-        """Request ``index`` left the waiting set (popped by dispatch)."""
-        for k in range(self._dims):
-            self._counts[k][self._ranks[k][index]] -= 1
+    def add(self, keys: Sequence[int]) -> None:
+        """A request with ``keys`` joined the waiting set."""
+        for counts, key in zip(self._counts, keys):
+            try:
+                counts[key] += 1
+            except IndexError:
+                counts.extend([0] * (key + 1 - len(counts)))
+                counts[key] += 1
 
-    def inversions_of(self, index: int) -> list[int]:
-        """Waiting requests strictly above ``index``'s priority, per dim.
+    def remove(self, keys: Sequence[int]) -> None:
+        """A request with ``keys`` left the waiting set."""
+        for counts, key in zip(self._counts, keys):
+            counts[key] -= 1
+
+    def inversions_of(self, keys: Sequence[int]) -> list[int]:
+        """Waiting requests strictly above ``keys``, per dimension.
 
         Call after :meth:`remove`, mirroring the scan, where the
         dispatched request is already out of ``pending()``.
         """
-        out = []
-        for k in range(self._dims):
-            rank = self._ranks[k][index]
-            out.append(sum(self._counts[k][:rank]))
-        return out
+        return [sum(counts[:key]) for counts, key in zip(self._counts, keys)]
+
+    def charge(self, keys: Sequence[int], tallies: list[int]) -> None:
+        """:meth:`remove` ``keys``, then add :meth:`inversions_of` them
+        into ``tallies`` (e.g. ``MetricsCollector.inversions_by_dim``)."""
+        k = 0
+        for counts, key in zip(self._counts, keys):
+            counts[key] -= 1
+            tallies[k] += sum(counts[:key])
+            k += 1
 
 
 @dataclass
@@ -137,39 +152,3 @@ class ServeColumns:
     def end_index(self) -> int:
         """One past the last planned issue index."""
         return self.start_index + len(self.due_ms)
-
-
-class ServeInversionLedger:
-    """:class:`InversionLedger` for an open-ended request population.
-
-    The offline ledger ranks a closed workload's priority levels up
-    front; the serving tier admits requests open-endedly, so this
-    variant keys occupancy by the raw priority level and grows the
-    per-dimension tables on demand.  Same integer tallies as the
-    legacy ``MetricsCollector.on_dispatch`` scan over ``pending()``.
-    """
-
-    def __init__(self, dims: int) -> None:
-        self._counts: list[list[int]] = [[] for _ in range(dims)]
-
-    def add(self, priorities: Sequence[int]) -> None:
-        """A request with ``priorities`` joined the waiting set."""
-        for k, level in enumerate(priorities):
-            counts = self._counts[k]
-            if level >= len(counts):
-                counts.extend([0] * (level + 1 - len(counts)))
-            counts[level] += 1
-
-    def remove(self, priorities: Sequence[int]) -> None:
-        """A request with ``priorities`` left the waiting set."""
-        for k, level in enumerate(priorities):
-            self._counts[k][level] -= 1
-
-    def inversions_of(self, priorities: Sequence[int]) -> list[int]:
-        """Waiting requests strictly above ``priorities``, per dim.
-
-        Call after :meth:`remove`, mirroring the reference loop where
-        the dispatched request is already out of ``pending()``.
-        """
-        return [sum(self._counts[k][:level])
-                for k, level in enumerate(priorities)]

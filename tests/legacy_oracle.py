@@ -87,7 +87,9 @@ def run_simulation(requests: Sequence[DiskRequest],
         scheduler_name=scheduler.name,
         metrics=metrics,
         submitted=len(ordered),
-        unserved=len(scheduler),
+        # Everything not completed by the stop: still queued, in
+        # flight, or never arrived.
+        unserved=len(ordered) - metrics.completed,
         timeline=state.timeline,
     )
 

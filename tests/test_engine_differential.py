@@ -50,6 +50,7 @@ from repro.parallel import baseline, cascaded, metrics_fingerprint
 from repro.parallel.cells import ArrayWorkload, make_scheduler
 from repro.sim import resolve_engine, run_array_simulation, run_simulation
 from repro.sim.array import RebuildConfig
+from repro.sim.soa import RequestColumns
 from repro.sim.service import constant_service, priority_scaled_service
 from repro.workloads.poisson import PoissonWorkload
 from tests import legacy_oracle
@@ -121,6 +122,10 @@ def assert_matches_oracle(requests, scheduler_key: str,
         result = simulate(requests, scheduler, service_for(service_kind),
                           priority_levels=8, record_timeline=True,
                           **kwargs)
+        # Every submitted request is completed or unserved, truncated
+        # run or not.
+        assert (result.metrics.completed + result.unserved
+                == result.submitted)
         prints[name] = fingerprint(result)
     assert prints["shipped"] == prints["oracle"]
     return prints["oracle"]
@@ -186,6 +191,20 @@ def test_engines_identical_edge_workloads():
                for i, r in enumerate(requests)]
     assert_matches_oracle(clumped, "full")
     assert_matches_oracle(clumped, "edf")
+
+
+def test_engines_identical_with_sparse_levels():
+    """Levels with gaps and huge values key the ledger by their dense
+    ranks; the tallies must equal the oracle's scan over raw levels."""
+    requests = workload(29, 120, mean_interarrival_ms=1.5)
+    sparse = [replace(r, priorities=(r.priorities[0] * 10**9,
+                                     r.priorities[1] + 3,
+                                     r.priorities[2]))
+              for r in requests]
+    ranks = RequestColumns.from_requests(sparse, 3).ranks
+    assert max(max(row) for row in ranks) < 8
+    assert_matches_oracle(sparse, "full")
+    assert_matches_oracle(sparse, "edf", drop_expired=True)
 
 
 def test_engines_identical_with_observer():

@@ -145,7 +145,21 @@ class TestRunSimulation:
         result = run_simulation(requests, FCFSScheduler(),
                                 constant_service(10.0), stop_at_ms=35.0)
         assert result.unserved > 0
-        assert result.unserved + result.metrics.completed <= 10
+        assert result.unserved + result.metrics.completed == 10
+
+    def test_stop_counts_in_flight_and_future_arrivals_unserved(self):
+        # One arrival every 10 ms, 15 ms services, stop at 42 ms: two
+        # served, one in flight, two queued, five never arrived.
+        requests = [
+            make_request(request_id=i, arrival_ms=10.0 * i, priorities=(0,))
+            for i in range(10)
+        ]
+        result = run_simulation(requests, FCFSScheduler(),
+                                constant_service(15.0), stop_at_ms=42.0)
+        assert result.submitted == 10
+        assert result.metrics.served == 2
+        assert result.metrics.dropped == 0
+        assert result.unserved == 8
 
     def test_priority_dims_inferred(self):
         requests = [make_request(request_id=0, priorities=(1, 2, 3))]
