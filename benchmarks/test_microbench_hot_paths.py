@@ -100,7 +100,7 @@ def test_curve_batch_lut(benchmark, name):
     rng = np.random.default_rng(5)
     pts = rng.integers(0, 16, size=(4096, 3), dtype=np.uint64)
     clear_lut_cache()
-    assert curve_lut(curve, force=True) is not None
+    assert curve_lut(curve) is not None
 
     out = benchmark(lambda: batch_index(curve, pts))
     scalar = [curve.index(tuple(int(v) for v in row)) for row in pts[:64]]

@@ -17,9 +17,8 @@ metrics registry with Prometheus/JSON exporters, and profiling hooks,
 all switched on by passing one :class:`~repro.obs.Observer` to any
 entry point (the default ``NULL_OBSERVER`` costs nothing).
 :mod:`repro.parallel` fans experiment cells out over worker processes
-with bit-identical results at any ``--jobs N`` (backed by the
-persistent curve-LUT tier, re-exported here as :mod:`~repro.sfc
-.lut_cache`), and :mod:`repro.cluster` scales the serving layer out:
+with bit-identical results at any ``--jobs N``, and
+:mod:`repro.cluster` scales the serving layer out:
 N arrays behind one placement/admission brain with failure-driven
 stream migration.
 
@@ -60,7 +59,6 @@ _EXPORTS = {
     ".parallel": ("ArrayCellSpec", "CellSpec", "ClusterCellSpec",
                   "ParallelRunner", "ServeCellSpec", "SweepReport",
                   "WorkerStats", "normalize_jobs", "run_cells"),
-    ".sfc": ("lut_cache",),
     ".store": ("RunRecord", "RunStore", "SqliteRunStore", "open_store"),
 }
 _MODULE_OF = {name: module
@@ -107,7 +105,6 @@ __all__ = [
     "TransientErrors",
     "VirtualClock",
     "WorkerStats",
-    "lut_cache",
     "make_admission",
     "make_baseline",
     "make_xp32150_disk",

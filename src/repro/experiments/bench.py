@@ -11,11 +11,9 @@ safe*:
 * incremental re-characterization is idempotent (a second pass at the
   same instant re-keys nothing).
 
-``run`` enables the repo-local persistent LUT cache
-(:func:`repro.sfc.lut_cache.ensure_default`) for the duration unless
-the caller or environment already decided.  The simulation loop
-itself has no second implementation to race here; its bit-identity to
-the reference heap loop is checked by the tier-1 differential tests.
+The simulation loop itself has no second implementation to race here;
+its bit-identity to the reference heap loop is checked by the tier-1
+differential tests.
 
 Timings are recorded for tracking but never asserted -- wall clock is
 machine-dependent; the operation counts are not.  The full run writes
@@ -25,8 +23,7 @@ regressing by more than 25% is a failure); ``--quick`` runs a CI-sized
 instance.
 
 The ``parallel`` section covers :mod:`repro.parallel`: the process
-fan-out sweep must be bit-identical to serial at any worker count,
-and a warm persistent-LUT load must beat re-enumeration by >=10x.  The
+fan-out sweep must be bit-identical to serial at any worker count.  The
 multi-worker *speedup* is only gated when the machine actually has
 four or more cores -- on smaller hosts it is recorded with the core
 count so the number can be read in context.
@@ -89,9 +86,6 @@ class BenchSpec:
     sweep_requests: int = 1_500
     #: Worker count of the timed parallel sweep arm.
     sweep_jobs: int = 4
-    #: Grid dims of the persistent-LUT cache probe (16 levels); big
-    #: enough that enumeration visibly dominates a warm load.
-    cache_lut_dims: int = 4
     #: Fleet sizes of the cluster decision-tier scaling sweep.
     cluster_arrays: tuple[int, ...] = (16, 32, 64, 128)
     #: Stream-open attempts per array in the scaling sweep (the fleet
@@ -115,7 +109,6 @@ class BenchSpec:
             sim_requests=600,
             repeats=2,
             sweep_requests=500,
-            cache_lut_dims=3,
             cluster_arrays=(16, 32),
             cluster_users_per_array=150,
             serve_users=120,
@@ -156,23 +149,7 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
 
 
 def bench_curve_batch(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
-    """Scalar ``curve.index`` loop vs LUT-backed ``batch_index``.
-
-    The persistent LUT tier is forced off for the duration: this
-    section times *enumeration* and asserts ``builds == 1``, which an
-    ambient ``REPRO_LUT_CACHE`` would turn into a disk load.
-    """
-    from repro.sfc import lut_cache
-
-    previous = lut_cache.configured()
-    lut_cache.configure("")
-    try:
-        return _bench_curve_batch(spec)
-    finally:
-        lut_cache.configure(previous)
-
-
-def _bench_curve_batch(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
+    """Scalar ``curve.index`` loop vs LUT-backed ``batch_index``."""
     rng = np.random.default_rng(spec.seed)
     rows: list[dict] = []
     invariants: dict[str, bool] = {}
@@ -195,7 +172,7 @@ def _bench_curve_batch(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
         # which inflates a quick run by over a second for no benefit.
         clear_lut_cache(curve)
         LUT_STATS.reset()
-        build_s, _ = _best_of(lambda: curve_lut(curve, force=True), 1)
+        build_s, _ = _best_of(lambda: curve_lut(curve), 1)
         lut_s, lut_out = _best_of(
             lambda: batch_index(curve, pts), spec.repeats
         )
@@ -558,28 +535,21 @@ def bench_store(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
 
 
 def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
-    """The two tiers of ``repro.parallel``, each against serial.
+    """``repro.parallel``'s process fan-out against serial.
 
-    * **sweep** -- a fig5-shaped (scheduler x curve x fraction) grid run
-      serially and with ``spec.sweep_jobs`` worker processes; results
-      must be bit-identical (the determinism contract), and the fan-out
-      must reach a 2x speedup -- gated only on hosts with >= 4 cores,
-      recorded (with the core count) everywhere else.
-    * **lut_cache** -- cold enumeration of a 16-level diagonal grid into
-      a temporary persistent cache vs a warm load from it; the load
-      must be >= 10x faster and must register as a cache hit.
+    A fig5-shaped (scheduler x curve x fraction) grid runs serially and
+    with ``spec.sweep_jobs`` worker processes; results must be
+    bit-identical (the determinism contract), and the fan-out must
+    reach a 2x speedup -- gated only on hosts with >= 4 cores, recorded
+    (with the core count) everywhere else.
     """
-    import tempfile
-
     from repro.parallel import (CellSpec, baseline, cascaded,
                                 metrics_fingerprint, run_cell, run_cells)
-    from repro.sfc import lut_cache
 
     cores = os.cpu_count() or 1
     section: dict = {"cores": cores, "rows": []}
     invariants: dict[str, bool] = {}
 
-    # -- tier 1: process fan-out over an experiment grid -------------------
     workload = PoissonWorkload(
         count=spec.sweep_requests,
         mean_interarrival_ms=10.0,
@@ -622,40 +592,6 @@ def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
         "serial_s": serial_s, "parallel_s": fanout_s,
         "jobs": spec.sweep_jobs, "speedup": sweep_speedup,
         "speedup_gated": cores >= 4,
-    })
-
-    # -- tier 2: persistent LUT cache --------------------------------------
-    curve = get_curve("diagonal", spec.cache_lut_dims, 16)
-    loads0 = LUT_STATS.disk_loads
-    previous_cache = lut_cache.configured()
-    with tempfile.TemporaryDirectory(prefix="repro-lut-bench-") as tmp:
-        lut_cache.configure(tmp)
-        try:
-            lut_cache.CACHE_STATS.reset()
-            clear_lut_cache(curve)
-            build_s, _ = _best_of(
-                lambda: curve_lut(curve, force=True), 1)
-            warm_s = float("inf")
-            for _ in range(max(spec.repeats, 3)):
-                clear_lut_cache(curve)
-                started = time.perf_counter()
-                warm = curve_lut(curve, force=True)
-                warm_s = min(warm_s, time.perf_counter() - started)
-            # Drop the mmap-backed table before the directory goes away.
-            clear_lut_cache(curve)
-            hits = lut_cache.CACHE_STATS.loads
-        finally:
-            lut_cache.configure(previous_cache)
-    warm_speedup = build_s / warm_s if warm_s > 0 else float("inf")
-    invariants["parallel.lut_cache.hit"] = (
-        warm is not None and hits >= 1
-        and LUT_STATS.disk_loads > loads0
-    )
-    invariants["parallel.lut_cache.warm_10x"] = warm_speedup >= 10.0
-    section["rows"].append({
-        "label": "lut_cache", "cells": 16 ** spec.cache_lut_dims,
-        "build_s": build_s, "warm_load_s": warm_s,
-        "disk_loads": hits, "speedup": warm_speedup,
     })
     return section, invariants
 
@@ -972,18 +908,10 @@ def run(spec: BenchSpec = BenchSpec()) -> dict:
         "sections": {},
         "invariants": {},
     }
-    # Amortize LUT builds across sections and runs (the sections
-    # measure their hot paths, not enumeration); restore whatever the
-    # caller had configured afterwards.
-    from repro.sfc import lut_cache
-    previous_cache = lut_cache.ensure_default()
-    try:
-        for name, fn in SECTIONS:
-            section, invariants = fn(spec)
-            report["sections"][name] = section
-            report["invariants"].update(invariants)
-    finally:
-        lut_cache.configure(previous_cache)
+    for name, fn in SECTIONS:
+        section, invariants = fn(spec)
+        report["sections"][name] = section
+        report["invariants"].update(invariants)
     comparison, invariants = compare_baseline(report)
     report["baseline"] = comparison
     report["invariants"].update(invariants)

@@ -475,12 +475,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         os.environ.setdefault("REPRO_SIM_ENGINE", "batched")
 
-    # Amortize curve-LUT builds across experiment runs: enable the
-    # repo-local persistent cache unless the user already configured
-    # the tier (explicitly or via environment).
-    from repro.sfc import lut_cache
-    lut_cache.ensure_default()
-
     from .common import results_path
     if getattr(args, "out", None) == "":
         args.out = None

@@ -1,12 +1,9 @@
-"""Deterministic parallel execution layer (PR 5).
+"""Deterministic parallel execution layer.
 
-Two tiers, one determinism contract — a parallel run's tables,
-metrics and traces are bit-identical to the serial run's:
-
-* :class:`~repro.parallel.runner.ParallelRunner` — process-level
-  fan-out of experiment grid cells (``--jobs`` on the experiment CLI).
-* :mod:`repro.sfc.lut_cache` — the persistent curve-LUT tier that
-  workers share instead of re-enumerating curves per process.
+:class:`~repro.parallel.runner.ParallelRunner` fans experiment grid
+cells out over worker processes (``--jobs`` on the experiment CLI)
+under one determinism contract: a parallel run's tables, metrics and
+traces are bit-identical to the serial run's.
 """
 
 from .cells import (ArrayCellResult, ArrayCellSpec, ArrayWorkload,

@@ -94,16 +94,13 @@ class WorkerStats:
     pid: int
     duration_s: float
     lut_builds: int = 0
-    lut_disk_loads: int = 0
 
 
-def _collect_stats(started: float, builds0: int, loads0: int
-                   ) -> WorkerStats:
+def _collect_stats(started: float, builds0: int) -> WorkerStats:
     return WorkerStats(
         pid=os.getpid(),
         duration_s=time.perf_counter() - started,
         lut_builds=LUT_STATS.builds - builds0,
-        lut_disk_loads=LUT_STATS.disk_loads - loads0,
     )
 
 
@@ -177,7 +174,7 @@ def generate_requests(workload: object, seed: int) -> list:
 def run_cell(spec: CellSpec) -> CellResult:
     """Worker entry point: rebuild the cell's world and replay it."""
     started = time.perf_counter()
-    builds0, loads0 = LUT_STATS.builds, LUT_STATS.disk_loads
+    builds0 = LUT_STATS.builds
     requests = generate_requests(spec.workload, spec.seed)
     result = run_simulation(
         requests,
@@ -192,7 +189,7 @@ def run_cell(spec: CellSpec) -> CellResult:
         submitted=result.submitted,
         unserved=result.unserved,
         metrics=result.metrics,
-        stats=_collect_stats(started, builds0, loads0),
+        stats=_collect_stats(started, builds0),
     )
 
 
@@ -270,7 +267,7 @@ def run_array_cell(spec: ArrayCellSpec) -> ArrayCellResult:
     from repro.sim.array import run_array_simulation
 
     started = time.perf_counter()
-    builds0, loads0 = LUT_STATS.builds, LUT_STATS.disk_loads
+    builds0 = LUT_STATS.builds
     requests = spec.workload.generate(spec.seed)
     result = run_array_simulation(
         requests,
@@ -289,7 +286,7 @@ def run_array_cell(spec: ArrayCellSpec) -> ArrayCellResult:
             (m.completed, round(m.seek_ms, 9))
             for m in result.disk_metrics
         ),
-        stats=_collect_stats(started, builds0, loads0),
+        stats=_collect_stats(started, builds0),
     )
 
 
@@ -374,7 +371,7 @@ def run_cluster_cell(spec: ClusterCellSpec) -> ClusterCellResult:
     from repro.sim.rng import spawn_seed
 
     started = time.perf_counter()
-    builds0, loads0 = LUT_STATS.builds, LUT_STATS.disk_loads
+    builds0 = LUT_STATS.builds
     disk = make_xp32150_disk()
     disk.reset(0)
     faults = None
@@ -427,7 +424,7 @@ def run_cluster_cell(spec: ClusterCellSpec) -> ClusterCellResult:
         measured_utilization=stats.measured_utilization,
         trace_digest=hashlib.sha256(
             _serialize_server_trace(server)).hexdigest(),
-        stats=_collect_stats(started, builds0, loads0),
+        stats=_collect_stats(started, builds0),
     )
 
 
@@ -467,7 +464,7 @@ def run_serve_cell(spec: ServeCellSpec) -> ServeCellResult:
     from repro.serve import run_ramp_online
 
     started = time.perf_counter()
-    builds0, loads0 = LUT_STATS.builds, LUT_STATS.disk_loads
+    builds0 = LUT_STATS.builds
     serve_spec = spec.serve_spec
     server = build_server(serve_spec, sink=lambda line: None)
     run_ramp_online(server, ramp_events(serve_spec), serve_spec.until_ms)
@@ -479,5 +476,5 @@ def run_serve_cell(spec: ServeCellSpec) -> ServeCellResult:
         completed=stats.completed,
         missed=stats.missed,
         trace=serialize_trace(server),
-        stats=_collect_stats(started, builds0, loads0),
+        stats=_collect_stats(started, builds0),
     )

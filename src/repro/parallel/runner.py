@@ -19,10 +19,9 @@ field downstream): ``None``, ``0`` or ``1`` run the cells inline in
 the calling process — the exact code path workers run, minus the pool;
 ``N > 1`` uses ``N`` processes; negative values mean "one per CPU".
 
-Workers inherit the persistent LUT-cache configuration
-(:mod:`repro.sfc.lut_cache`) through a pool initializer, so a sweep
-whose cells share curve geometries pays each table build once on disk
-instead of once per process.
+Each worker builds the curve tables its cells use in its own process;
+a build costs milliseconds (:mod:`repro.sfc.lut`), so nothing is
+shared between workers.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.obs.observer import Observer, live
-from repro.sfc import lut_cache
 
 from .cells import WorkerStats
 
@@ -47,16 +45,6 @@ def normalize_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _init_worker(cache_dir: str | None) -> None:
-    """Pool initializer: propagate the LUT-cache tier to the worker.
-
-    Under the default ``fork`` start method the child inherits the
-    parent's configuration anyway; setting it explicitly keeps spawn-
-    and forkserver-based pools (and future platforms) equivalent.
-    """
-    lut_cache.configure(cache_dir)
-
-
 @dataclass
 class SweepReport:
     """What one ``map`` call did, for observability and benchmarks."""
@@ -67,14 +55,12 @@ class SweepReport:
     #: pid -> (cells run, cell-seconds) — the per-worker span roll-up.
     workers: dict[int, tuple[int, float]] = field(default_factory=dict)
     lut_builds: int = 0
-    lut_disk_loads: int = 0
 
     def note(self, stats: WorkerStats) -> None:
         cells, seconds = self.workers.get(stats.pid, (0, 0.0))
         self.workers[stats.pid] = (cells + 1,
                                    seconds + stats.duration_s)
         self.lut_builds += stats.lut_builds
-        self.lut_disk_loads += stats.lut_disk_loads
 
     def as_dict(self) -> dict:
         return {
@@ -86,7 +72,6 @@ class SweepReport:
                 for pid, (cells, seconds) in sorted(self.workers.items())
             },
             "lut_builds": self.lut_builds,
-            "lut_disk_loads": self.lut_disk_loads,
         }
 
 
@@ -102,18 +87,12 @@ class ParallelRunner:
         its cell / wall-time / LUT counters into the observer's
         registry under ``parallel_*`` names and samples a per-worker
         utilization gauge.  Default off, like every other hook site.
-    lut_cache_dir:
-        Persistent LUT-cache directory handed to every worker (and
-        configured locally for inline runs).  ``None`` leaves the
-        process-wide configuration untouched.
     """
 
     def __init__(self, jobs: int | None = None, *,
-                 observer: Observer | None = None,
-                 lut_cache_dir: str | None = None) -> None:
+                 observer: Observer | None = None) -> None:
         self.jobs = normalize_jobs(jobs)
         self.obs = live(observer)
-        self.lut_cache_dir = lut_cache_dir
         self.reports: list[SweepReport] = []
 
     def map(self, worker: Callable, specs: Sequence) -> list:
@@ -126,8 +105,6 @@ class ParallelRunner:
         specs = list(specs)
         report = SweepReport(cells=len(specs), jobs=self.jobs)
         started = time.perf_counter()
-        if self.lut_cache_dir is not None:
-            lut_cache.configure(self.lut_cache_dir)
         if self.jobs == 1 or len(specs) <= 1:
             results = [worker(spec) for spec in specs]
         else:
@@ -137,10 +114,7 @@ class ParallelRunner:
 
             chunksize = max(1, len(specs) // (self.jobs * 4))
             with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(specs)),
-                initializer=_init_worker,
-                initargs=(self.lut_cache_dir,),
-            ) as pool:
+                max_workers=min(self.jobs, len(specs))) as pool:
                 results = list(pool.map(worker, specs,
                                         chunksize=chunksize))
         report.wall_s = time.perf_counter() - started
@@ -174,10 +148,6 @@ class ParallelRunner:
             "parallel_lut_builds_total",
             "LUT enumerations paid by sweep workers").inc(
                 report.lut_builds)
-        registry.counter(
-            "parallel_lut_disk_loads_total",
-            "LUT tables served from the persistent cache").inc(
-                report.lut_disk_loads)
         registry.gauge(
             "parallel_jobs", "worker count of the last sweep").set(
                 report.jobs)
@@ -192,9 +162,7 @@ class ParallelRunner:
 
 def run_cells(worker: Callable, specs: Iterable, *,
               jobs: int | None = None,
-              observer: Observer | None = None,
-              lut_cache_dir: str | None = None) -> list:
+              observer: Observer | None = None) -> list:
     """One-shot convenience wrapper around :class:`ParallelRunner`."""
-    runner = ParallelRunner(jobs, observer=observer,
-                            lut_cache_dir=lut_cache_dir)
+    runner = ParallelRunner(jobs, observer=observer)
     return runner.map(worker, list(specs))

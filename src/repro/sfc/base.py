@@ -72,11 +72,16 @@ class SpaceFillingCurve(ABC):
     def walk(self) -> Iterator[tuple[int, ...]]:
         """Yield every grid point in curve order.
 
-        Intended for analysis and testing on small grids; the cost is
-        ``O(len(self))`` calls to :meth:`point`.
+        Grids within the table bound invert the point -> index table
+        (:func:`repro.sfc.lut.curve_points`); larger ones cost
+        ``len(self)`` calls to :meth:`point`.
         """
-        for i in range(len(self)):
-            yield self.point(i)
+        from .lut import curve_points  # lut imports this module
+
+        coords = curve_points(self)
+        if coords is not None:
+            return zip(*coords)
+        return (self.point(i) for i in range(len(self)))
 
     def _check_point(self, point: Sequence[int]) -> tuple[int, ...]:
         """Validate ``point`` and return it as a tuple."""

@@ -1,243 +1,13 @@
-"""Persistent, version-stamped on-disk cache for curve LUTs.
+"""Former on-disk curve-table tier, kept as one stub for old readers.
 
-The in-memory tables of :mod:`repro.sfc.lut` die with the process, so
-every worker of a multi-process sweep — and every fresh bench run —
-pays the full curve enumeration again (0.5–1.2 s for the big diagonal
-grids).  This module adds a third tier: tables are stored as ``.npy``
-files under a cache directory and loaded back with
-``np.load(mmap_mode="r")``, so
-
-* a warm start costs a file open instead of a rebuild (the bench gates
-  the load at >=10x faster than enumeration), and
-* concurrent worker processes mapping the same file share the
-  physical pages instead of each holding a private copy.
-
-Layout: one ``<sha256>.npy`` per table plus a ``<sha256>.json``
-sidecar recording the human-readable key, the cell count, the payload
-checksum and the stamp.  The stamp combines :data:`CACHE_SCHEMA_VERSION`
-with a fingerprint of the ``repro.sfc`` sources, so *any* curve-code
-change — not just a geometry change, which is already part of the key —
-invalidates every stored table.  A table that fails validation
-(missing sidecar, stamp mismatch, wrong shape or dtype, checksum
-mismatch, unreadable file) is treated as absent and deleted
-best-effort; the caller falls back to the in-memory build, so a
-corrupted cache can slow a run down but never change a result.
-
-The cache is **off by default** — in-process behaviour (and the
-operation-count invariants the benchmarks assert) is unchanged unless
-a directory is configured via :func:`configure`, the
-``REPRO_LUT_CACHE_DIR`` environment variable, or ``REPRO_LUT_CACHE=1``
-(which uses ``~/.cache/repro-sfc``).
+Curve tables now build in milliseconds (:mod:`repro.sfc.lut`), so
+nothing is stored on disk.  :func:`cache_dir` stays because benchmark
+scripts still report it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
-from dataclasses import dataclass
-from pathlib import Path
 
-import numpy as np
-
-#: Bump when the on-disk format (not the curve code) changes.
-CACHE_SCHEMA_VERSION = 1
-
-#: Default directory when the cache is enabled without an explicit dir.
-DEFAULT_CACHE_DIR = "~/.cache/repro-sfc"
-
-_ENV_DIR = "REPRO_LUT_CACHE_DIR"
-_ENV_ENABLE = "REPRO_LUT_CACHE"
-
-
-@dataclass
-class CacheStats:
-    """Process-wide persistent-tier accounting."""
-
-    loads: int = 0
-    saves: int = 0
-    invalid: int = 0
-
-    def reset(self) -> None:
-        self.loads = 0
-        self.saves = 0
-        self.invalid = 0
-
-
-CACHE_STATS = CacheStats()
-
-_configured_dir: str | None = None
-_code_stamp: str | None = None
-
-
-def _sfc_fingerprint() -> str:
-    """Hash of every ``repro.sfc`` source file (the code-version stamp).
-
-    Computed once per process; hashing the whole package is coarser
-    than strictly necessary but guarantees a stale table can never
-    survive a change to any curve, transform, or the LUT builder
-    itself.
-    """
-    global _code_stamp
-    if _code_stamp is None:
-        digest = hashlib.sha256()
-        package_dir = Path(__file__).resolve().parent
-        for path in sorted(package_dir.glob("*.py")):
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-        _code_stamp = f"v{CACHE_SCHEMA_VERSION}:{digest.hexdigest()[:32]}"
-    return _code_stamp
-
-
-def configure(directory: str | os.PathLike | None) -> None:
-    """Enable the persistent tier rooted at ``directory``.
-
-    Takes precedence over the environment variables; pass ``None`` to
-    return to environment-driven behaviour, or ``""`` to force the
-    tier off regardless of environment (the benchmark uses this while
-    timing enumeration).
-    """
-    global _configured_dir
-    _configured_dir = None if directory is None else str(directory)
-
-
-def configured() -> str | None:
-    """The explicit :func:`configure` value (``""`` = forced off,
-    ``None`` = environment-driven)."""
-    return _configured_dir
-
-
-#: Repo-local default directory (gitignored) used when bench and the
-#: experiments CLI amortize LUT builds across runs.
-DEFAULT_LOCAL_DIR = ".repro-sfc-cache"
-
-
-def ensure_default(directory: str | os.PathLike = DEFAULT_LOCAL_DIR
-                   ) -> str | None:
-    """Enable the persistent tier at ``directory`` unless the user
-    already decided (an explicit :func:`configure` call or either
-    environment variable wins, including a forced-off ``""``).
-
-    Returns the previous :func:`configured` value so callers that want
-    run-local scope can restore it afterwards.
-    """
-    previous = _configured_dir
-    if _configured_dir is None and cache_dir() is None:
-        configure(directory)
-    return previous
-
-
-def cache_dir() -> Path | None:
-    """The active cache directory, or None when the tier is disabled."""
-    if _configured_dir is not None:
-        if _configured_dir == "":
-            return None
-        return Path(_configured_dir).expanduser()
-    env_dir = os.environ.get(_ENV_DIR)
-    if env_dir:
-        return Path(env_dir).expanduser()
-    if os.environ.get(_ENV_ENABLE, "").strip() in ("1", "true", "yes"):
-        return Path(DEFAULT_CACHE_DIR).expanduser()
+def cache_dir() -> None:
+    """No table directory: tables are never stored on disk."""
     return None
-
-
-def enabled() -> bool:
-    """True when a cache directory is configured."""
-    return cache_dir() is not None
-
-
-def _entry_paths(key: tuple) -> tuple[Path, Path] | None:
-    root = cache_dir()
-    if root is None:
-        return None
-    name = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-    return root / f"{name}.npy", root / f"{name}.json"
-
-
-def _checksum(lut: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(lut).tobytes()).hexdigest()
-
-
-def _discard(table_path: Path, meta_path: Path) -> None:
-    """Drop a broken entry so the next run does not re-validate it."""
-    for path in (table_path, meta_path):
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-
-def load(key: tuple, cells: int) -> np.ndarray | None:
-    """The stored table for ``key``, memory-mapped, or None.
-
-    Every failure mode — absent files, stale stamp, foreign key, wrong
-    geometry, corrupted payload — degrades to a miss.
-    """
-    paths = _entry_paths(key)
-    if paths is None:
-        return None
-    table_path, meta_path = paths
-    try:
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if (meta.get("stamp") != _sfc_fingerprint()
-                or meta.get("key") != repr(key)
-                or meta.get("cells") != cells):
-            raise ValueError("stale or foreign cache entry")
-        lut = np.load(table_path, mmap_mode="r")
-        if lut.dtype != np.uint64 or lut.shape != (cells,):
-            raise ValueError("table shape/dtype mismatch")
-        if _checksum(lut) != meta.get("checksum"):
-            raise ValueError("table checksum mismatch")
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
-        CACHE_STATS.invalid += 1
-        _discard(table_path, meta_path)
-        return None
-    CACHE_STATS.loads += 1
-    return lut
-
-
-def save(key: tuple, lut: np.ndarray) -> bool:
-    """Persist ``lut`` under ``key``; best-effort (False on failure).
-
-    Both files are written to temporaries and renamed into place, so a
-    concurrent reader (another sweep worker) sees either nothing or a
-    complete entry — never a torn write.  The sidecar lands last: a
-    table without metadata reads as a miss, the safe direction.
-    """
-    paths = _entry_paths(key)
-    if paths is None:
-        return False
-    table_path, meta_path = paths
-    meta = {
-        "stamp": _sfc_fingerprint(),
-        "key": repr(key),
-        "cells": int(lut.size),
-        "checksum": _checksum(lut),
-    }
-    try:
-        table_path.parent.mkdir(parents=True, exist_ok=True)
-        for final, writer in (
-            (table_path, lambda fh: np.save(fh, np.asarray(lut))),
-            (meta_path, lambda fh: fh.write(
-                json.dumps(meta, sort_keys=True).encode())),
-        ):
-            fd, tmp = tempfile.mkstemp(dir=str(final.parent),
-                                       prefix=final.name, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    writer(fh)
-                os.replace(tmp, final)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-    except OSError:
-        return False
-    CACHE_STATS.saves += 1
-    return True

@@ -9,10 +9,10 @@ hot path.  ``batch_index`` computes the curve position of a whole
 * Gray: vectorized bit interleave + Gray decode;
 * Hilbert: vectorized Skilling transpose;
 * Spiral / Diagonal / Peano / transforms on bounded grids: a
-  precomputed point -> index table (:mod:`repro.sfc.lut`), one numpy
-  gather per batch;
-* anything else (unbounded grids, out-of-policy batches): a scalar
-  fallback loop over the rows, so the API is total.
+  point -> index table (:mod:`repro.sfc.lut`), one numpy gather per
+  batch;
+* anything else (grids beyond the table bound): a scalar fallback
+  loop over the rows, so the API is total.
 
 Vectorized paths require the index to fit in 64 bits
 (``dims * log2(side) <= 63``); larger grids fall back automatically.
@@ -59,37 +59,52 @@ def _as_points(points: np.ndarray,
     return array.astype(np.uint64)
 
 
+#: Families with an arithmetic batch encoder (exact types: a subclass
+#: may remap cells).
+_ANALYTIC_TYPES = (SweepCurve, CScanCurve, ScanCurve, GrayCurve,
+                   HilbertCurve)
+
+
 def _fits_uint64(dims: int, side: int) -> bool:
     return is_power_of(side, 2) and dims * (side.bit_length() - 1) <= 63
 
 
-def _sweep_batch(pts: np.ndarray, side: int,
-                 reverse_dims: bool) -> np.ndarray:
-    order = pts[:, ::-1] if reverse_dims else pts
-    idx = np.zeros(len(pts), dtype=np.uint64)
-    for k in range(order.shape[1]):
-        idx = idx * np.uint64(side) + order[:, k]
+# The encoders take one uint64 array per coordinate.  Batches pass the
+# columns of an (n, dims) array; the table builders of repro.sfc.lut
+# pass the broadcastable axes of a whole grid (np.ix_), so each
+# intermediate only grows to the full grid when every axis has entered.
+
+
+def _sweep_batch(cols: list[np.ndarray], side: int) -> np.ndarray:
+    """Mixed-radix position, ``cols[0]`` most significant."""
+    idx = np.uint64(0)
+    for col in cols:
+        idx = idx * np.uint64(side) + col
     return idx
 
 
-def _scan_batch(pts: np.ndarray, side: int) -> np.ndarray:
-    side_u = np.uint64(side)
-    idx = np.zeros(len(pts), dtype=np.uint64)
-    for k in range(pts.shape[1] - 1, -1, -1):
-        coord = pts[:, k].copy()
-        odd = (idx % np.uint64(2)) == 1
-        coord[odd] = side_u - np.uint64(1) - coord[odd]
-        idx = idx * side_u + coord
+def _scan_batch(cols: list[np.ndarray], side: int) -> np.ndarray:
+    idx = np.uint64(0)
+    for col in reversed(cols):
+        odd = idx & np.uint64(1)
+        # col, or side - 1 - col on odd prefixes, without a branch
+        # (uint64 arithmetic wraps back into range).
+        idx = (idx * np.uint64(side) + col
+               + odd * (np.uint64(side - 1) - 2 * col))
     return idx
 
 
-def _interleave_batch(pts: np.ndarray, order: int) -> np.ndarray:
-    dims = pts.shape[1]
-    word = np.zeros(len(pts), dtype=np.uint64)
+def _interleave_batch(cols: list[np.ndarray], order: int) -> np.ndarray:
+    """Bit ``b`` of ``cols[k]`` lands at ``b * dims + dims - 1 - k``."""
+    dims = len(cols)
     one = np.uint64(1)
-    for b in range(order - 1, -1, -1):
-        for k in range(dims):
-            word = (word << one) | ((pts[:, k] >> np.uint64(b)) & one)
+    word = np.uint64(0)
+    for k, col in enumerate(cols):
+        spread = np.zeros_like(col)
+        for b in range(order):
+            spread |= ((col >> np.uint64(b)) & one) << np.uint64(
+                b * dims + dims - 1 - k)
+        word = word | spread
     return word
 
 
@@ -131,6 +146,32 @@ def _hilbert_transpose_batch(pts: np.ndarray, order: int) -> np.ndarray:
     return x
 
 
+def analytic_batch(curve: SpaceFillingCurve,
+                   cols: list[np.ndarray]) -> np.ndarray | None:
+    """Positions of the points with coordinate columns ``cols`` for the
+    five arithmetic families, else None.
+
+    Valid for any side whose positions fit in 64 bits.  Hilbert needs
+    full columns, not a grid's broadcastable axes.
+    """
+    kind = type(curve)
+    if kind is SweepCurve:
+        return _sweep_batch(cols[::-1], curve.side)
+    if kind is CScanCurve:
+        return _sweep_batch(cols, curve.side)
+    if kind is ScanCurve:
+        return _scan_batch(cols, curve.side)
+    if kind is GrayCurve:
+        return _gray_decode_batch(_interleave_batch(cols, curve.order))
+    if kind is HilbertCurve:
+        if curve.order == 0:
+            return np.zeros_like(cols[0])
+        transpose = _hilbert_transpose_batch(np.stack(cols, axis=1),
+                                             curve.order)
+        return _interleave_batch(list(transpose.T), curve.order)
+    return None
+
+
 def batch_index(curve: SpaceFillingCurve,
                 points: np.ndarray) -> np.ndarray:
     """Curve positions of every row of ``points`` (shape ``(n, dims)``).
@@ -143,34 +184,18 @@ def batch_index(curve: SpaceFillingCurve,
     pts = _as_points(points, curve)
     if len(pts) == 0:
         return np.zeros(0, dtype=np.uint64)
-
-    if isinstance(curve, SweepCurve) and _fits_uint64(curve.dims,
-                                                      curve.side):
-        return _sweep_batch(pts, curve.side, reverse_dims=True)
-    if isinstance(curve, CScanCurve) and _fits_uint64(curve.dims,
-                                                      curve.side):
-        return _sweep_batch(pts, curve.side, reverse_dims=False)
-    if isinstance(curve, ScanCurve) and _fits_uint64(curve.dims,
-                                                     curve.side):
-        return _scan_batch(pts, curve.side)
-    if isinstance(curve, GrayCurve) and _fits_uint64(curve.dims,
-                                                     curve.side):
-        word = _interleave_batch(pts, curve.order)
-        return _gray_decode_batch(word)
-    if isinstance(curve, HilbertCurve) and _fits_uint64(curve.dims,
-                                                        curve.side):
-        transpose = _hilbert_transpose_batch(pts.copy(), curve.order)
-        return _interleave_batch(transpose, curve.order)
+    if has_vectorized_path(curve):
+        return analytic_batch(curve, list(pts.T))
 
     # Table tier: Spiral, Diagonal, Peano and transforms on bounded
     # grids become a single gather against the cached point -> index
     # table (built once per curve shape).
-    lut = curve_lut(curve, batch_rows=len(pts))
+    lut = curve_lut(curve)
     if lut is not None:
         return lut_gather(lut, curve, pts)
 
-    # Total fallback: scalar loop (out-of-policy grids, or indexes
-    # wider than 64 bits).
+    # Total fallback: scalar loop (grids beyond the table bound, whose
+    # indexes may be wider than 64 bits).
     out = np.empty(len(pts), dtype=object)
     for i, row in enumerate(points):
         out[i] = curve.index(tuple(int(c) for c in row))
@@ -182,7 +207,5 @@ def batch_index(curve: SpaceFillingCurve,
 
 def has_vectorized_path(curve: SpaceFillingCurve) -> bool:
     """True when :func:`batch_index` avoids the scalar fallback."""
-    vector_types = (SweepCurve, CScanCurve, ScanCurve, GrayCurve,
-                    HilbertCurve)
-    return (isinstance(curve, vector_types)
+    return (type(curve) in _ANALYTIC_TYPES
             and _fits_uint64(curve.dims, curve.side))

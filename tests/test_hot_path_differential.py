@@ -5,8 +5,8 @@ replaces, on hypothesis-generated inputs:
 
 * **LUT tier**: for curves without an analytic vectorized path
   (spiral, diagonal, peano, and transform compositions),
-  :func:`~repro.sfc.vectorized.batch_index` through a forced LUT must
-  equal the scalar ``curve.index`` loop.
+  :func:`~repro.sfc.vectorized.batch_index` through the curve's table
+  must equal the scalar ``curve.index`` loop.
 * **Bulk re-key**: ``rekey_batch`` / ``push_batch`` must produce the
   same pop order (including FIFO tie-breaks) as the equivalent
   ``remove`` + ``push`` sequence.
@@ -64,7 +64,7 @@ def test_lut_matches_scalar_index(name, data):
     points = data.draw(st.lists(point, min_size=1, max_size=64),
                        label="points")
     clear_lut_cache()
-    lut = curve_lut(curve, force=True)
+    lut = curve_lut(curve)
     assert lut is not None
     gathered = lut_gather(lut, curve, np.array(points, dtype=np.uint64))
     scalar = [curve.index(p) for p in points]
@@ -78,7 +78,7 @@ def test_batch_index_uses_lut_when_amortized(name):
     dims, side = geometries[0]
     curve = factory(dims, side)
     clear_lut_cache()
-    assert curve_lut(curve, force=True) is not None
+    assert curve_lut(curve) is not None
     rng = np.random.default_rng(7)
     pts = rng.integers(0, side, size=(100, dims), dtype=np.uint64)
     batched = batch_index(curve, pts)

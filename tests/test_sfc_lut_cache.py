@@ -1,34 +1,26 @@
-"""Persistent LUT cache (repro.sfc.lut_cache): round-trip and safety.
+"""The curve-table cache lives in memory only.
 
-The tier must be invisible when off, a pure accelerator when on, and
-*harmless* when broken: every corruption mode degrades to a rebuild,
-never to a wrong table.
+Tables build in milliseconds (repro.sfc.lut), so no table is written
+to or read from disk, whatever the environment says: a run leaves the
+checkout clean.  What remains is the process-wide cache, one entry per
+curve geometry, which an eviction and rebuild must reproduce exactly.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.sfc import get_curve, lut_cache
-from repro.sfc.lut import (LUT_STATS, build_lut, clear_lut_cache,
-                           curve_lut)
-from repro.sfc.lut_cache import CACHE_STATS
+from repro.sfc.lut import (LUT_STATS, build_lut, cached_lut_count,
+                           clear_lut_cache, curve_lut)
 
 
 @pytest.fixture(autouse=True)
-def clean_cache(monkeypatch):
-    """Isolate every test from ambient configuration and state."""
-    monkeypatch.delenv("REPRO_LUT_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_LUT_CACHE", raising=False)
-    lut_cache.configure(None)
+def clean_cache():
     clear_lut_cache()
-    CACHE_STATS.reset()
     LUT_STATS.reset()
     yield
-    lut_cache.configure(None)
     clear_lut_cache()
 
 
@@ -36,109 +28,33 @@ def curve():
     return get_curve("diagonal", 2, 12)
 
 
-def entry_paths(tmp_path):
-    """The (table, sidecar) paths of the single cached entry."""
-    tables = sorted(tmp_path.glob("*.npy"))
-    sidecars = sorted(tmp_path.glob("*.json"))
-    assert len(tables) == 1 and len(sidecars) == 1
-    return tables[0], sidecars[0]
-
-
-def test_disabled_by_default():
-    assert not lut_cache.enabled()
-    curve_lut(curve(), force=True)
-    assert CACHE_STATS.saves == 0
-
-
-def test_round_trip(tmp_path):
-    """Build writes the entry; a fresh process-like state loads it."""
-    lut_cache.configure(tmp_path)
-    built = curve_lut(curve(), force=True)
-    assert CACHE_STATS.saves == 1
-    assert LUT_STATS.builds == 1
-
-    clear_lut_cache()  # simulate a new process: in-memory tier empty
-    loaded = curve_lut(curve(), force=True)
-    assert CACHE_STATS.loads == 1
-    assert LUT_STATS.builds == 1  # no re-enumeration
-    assert LUT_STATS.disk_loads == 1
-    assert np.array_equal(np.asarray(loaded), np.asarray(built))
-
-
-def test_env_dir_honored(tmp_path, monkeypatch):
+def test_disabled_by_default(tmp_path, monkeypatch):
+    """The variables that once enabled an on-disk tier change nothing."""
     monkeypatch.setenv("REPRO_LUT_CACHE_DIR", str(tmp_path))
-    assert lut_cache.enabled()
-    assert lut_cache.cache_dir() == tmp_path
-    curve_lut(curve(), force=True)
-    assert CACHE_STATS.saves == 1
-    assert list(tmp_path.glob("*.npy"))
+    monkeypatch.setenv("REPRO_LUT_CACHE", "1")
+    monkeypatch.chdir(tmp_path)
+    assert lut_cache.cache_dir() is None
+    curve_lut(curve())
+    assert list(tmp_path.iterdir()) == []
+    assert LUT_STATS.builds == 1 and LUT_STATS.disk_loads == 0
 
 
-def test_explicit_configure_beats_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_LUT_CACHE_DIR", str(tmp_path / "env"))
-    lut_cache.configure(tmp_path / "explicit")
-    assert lut_cache.cache_dir() == tmp_path / "explicit"
-
-
-def test_empty_configure_forces_off(tmp_path, monkeypatch):
-    """configure("") disables the tier even with the env var set."""
-    monkeypatch.setenv("REPRO_LUT_CACHE_DIR", str(tmp_path))
-    lut_cache.configure("")
-    assert not lut_cache.enabled()
-    curve_lut(curve(), force=True)
-    assert CACHE_STATS.saves == 0
-
-
-def test_corrupt_payload_degrades_to_rebuild(tmp_path):
-    """A flipped payload fails the checksum: discarded, then rebuilt."""
-    lut_cache.configure(tmp_path)
-    curve_lut(curve(), force=True)
-    table_path, sidecar_path = entry_paths(tmp_path)
-    blob = bytearray(table_path.read_bytes())
-    blob[-1] ^= 0xFF
-    table_path.write_bytes(bytes(blob))
-
+def test_round_trip():
+    """Evicting a table and building it again gives the same table."""
+    built = curve_lut(curve())
+    assert curve_lut(curve()) is built
+    assert (LUT_STATS.builds, LUT_STATS.hits) == (1, 1)
     clear_lut_cache()
-    reloaded = curve_lut(curve(), force=True)
-    assert CACHE_STATS.invalid == 1
-    assert CACHE_STATS.loads == 0
-    assert LUT_STATS.builds == 2  # enumeration ran again
-    assert np.array_equal(np.asarray(reloaded), build_lut(curve()))
-    # The broken entry was discarded, then replaced by the rebuild.
-    assert table_path.exists() and sidecar_path.exists()
-    clear_lut_cache()
-    curve_lut(curve(), force=True)
-    assert CACHE_STATS.loads == 1
-
-
-def test_stale_stamp_invalidates(tmp_path):
-    """A stamp from different curve code reads as a miss."""
-    lut_cache.configure(tmp_path)
-    curve_lut(curve(), force=True)
-    _, sidecar_path = entry_paths(tmp_path)
-    meta = json.loads(sidecar_path.read_text())
-    meta["stamp"] = "v0:deadbeef"
-    sidecar_path.write_text(json.dumps(meta))
-
-    clear_lut_cache()
-    curve_lut(curve(), force=True)
-    assert CACHE_STATS.invalid == 1
+    rebuilt = curve_lut(curve())
     assert LUT_STATS.builds == 2
+    assert np.array_equal(rebuilt, built)
+    assert np.array_equal(rebuilt, build_lut(curve()))
 
 
-def test_missing_sidecar_reads_as_miss(tmp_path):
-    lut_cache.configure(tmp_path)
-    curve_lut(curve(), force=True)
-    _, sidecar_path = entry_paths(tmp_path)
-    sidecar_path.unlink()
-    clear_lut_cache()
-    curve_lut(curve(), force=True)
-    assert CACHE_STATS.loads == 0
-    assert LUT_STATS.builds == 2
-
-
-def test_distinct_geometries_distinct_entries(tmp_path):
-    lut_cache.configure(tmp_path)
-    curve_lut(get_curve("diagonal", 2, 12), force=True)
-    curve_lut(get_curve("diagonal", 2, 7), force=True)
-    assert len(list(tmp_path.glob("*.npy"))) == 2
+def test_distinct_geometries_distinct_entries():
+    twelve = curve_lut(get_curve("diagonal", 2, 12))
+    seven = curve_lut(get_curve("diagonal", 2, 7))
+    assert cached_lut_count() == 2
+    assert (len(twelve), len(seven)) == (144, 49)
+    clear_lut_cache(get_curve("diagonal", 2, 7))
+    assert cached_lut_count() == 1
