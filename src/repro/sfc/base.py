@@ -73,15 +73,16 @@ class SpaceFillingCurve(ABC):
         """Yield every grid point in curve order.
 
         Grids within the table bound invert the point -> index table
-        (:func:`repro.sfc.lut.curve_points`); larger ones cost
+        (:func:`repro.sfc.lut.curve_points`), which builds and caches
+        the table process-wide on first use; larger ones cost
         ``len(self)`` calls to :meth:`point`.
         """
         from .lut import curve_points  # lut imports this module
 
-        coords = curve_points(self)
-        if coords is not None:
-            return zip(*coords)
-        return (self.point(i) for i in range(len(self)))
+        points = curve_points(self)
+        if points is None:
+            points = map(self.point, range(len(self)))
+        yield from points
 
     def _check_point(self, point: Sequence[int]) -> tuple[int, ...]:
         """Validate ``point`` and return it as a tuple."""

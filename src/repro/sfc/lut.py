@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -138,6 +139,10 @@ def _hilbert_table(curve: HilbertCurve) -> np.ndarray:
     digit when the last of those XORs (the parity of ``h``) is set,
     which reverses the sub-curve.  So block ``h`` of the order-``k``
     table is ``digit(h) * B + T_{k-1}[A_h(y)]``, reversed on odd ``h``.
+
+    The batch encoder in :mod:`repro.sfc.vectorized` needs full
+    coordinate columns and takes about a second on a 2**20-cell grid;
+    this builder takes milliseconds (docs/PERFORMANCE.md).
     """
     dims = curve.dims
     if curve.order == 0:
@@ -221,7 +226,10 @@ def _spiral_table(curve: SpiralCurve) -> np.ndarray:
         ring = side
         for coord in _open_grid(curve):
             ring = np.minimum(ring, np.minimum(coord, side - 1 - coord))
-        order = np.argsort(ring.astype(np.uint16).ravel(), kind="stable")
+        # The narrowest dtype that holds every ring keeps numpy's stable
+        # sort on radix sort wherever it can.
+        order = np.argsort(ring.astype(np.min_scalar_type(side // 2)).ravel(),
+                           kind="stable")
         table = np.empty(order.size, dtype=np.int64)
         table[order] = np.arange(order.size, dtype=np.int64)
         return table.reshape(grid_sides(curve))
@@ -362,16 +370,25 @@ def lut_gather(lut: np.ndarray, curve: SpaceFillingCurve,
     return lut[flat]
 
 
-def curve_points(curve: SpaceFillingCurve) -> list[list[int]] | None:
-    """Every cell's coordinates in curve order, one list per dimension
-    (the inverse of the table), or None when ``curve`` has no table."""
+def curve_points(curve: SpaceFillingCurve
+                 ) -> Iterator[tuple[int, ...]] | None:
+    """Every cell's coordinates in curve order (the inverse of the
+    table), or None when ``curve`` has no table.
+
+    Fills the table cache like :func:`curve_lut`.  Points are unravelled
+    4,096 positions at a time, so beyond the table and its inverse (one
+    ``uint64`` each per cell) memory stays O(dims).
+    """
     lut = curve_lut(curve)
     if lut is None:
         return None
     order = np.empty_like(lut)
     order[lut] = np.arange(lut.size, dtype=np.uint64)
-    return [axis.tolist()
-            for axis in np.unravel_index(order, grid_sides(curve))]
+    sides, chunk = grid_sides(curve), 1 << 12
+    return itertools.chain.from_iterable(
+        zip(*(axis.tolist() for axis in
+              np.unravel_index(order[start:start + chunk], sides)))
+        for start in range(0, order.size, chunk))
 
 
 def has_lut_path(curve: SpaceFillingCurve) -> bool:

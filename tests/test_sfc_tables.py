@@ -150,6 +150,29 @@ def test_walk_beyond_the_table_bound_uses_point(monkeypatch):
     assert list(curve.walk()) == expected
 
 
+def test_walk_is_lazy_and_spans_chunks():
+    """``walk`` builds nothing until the first point is drawn, and
+    yields the same points across chunk boundaries (4,096 positions)."""
+    curve = get_curve("spiral", 3, 20)  # 8,000 cells
+    lut.clear_lut_cache(curve)
+    walk = curve.walk()
+    assert lut._cache_key(curve) not in lut._CACHE
+    assert list(walk) == [curve.point(i) for i in range(len(curve))]
+    assert lut._cache_key(curve) in lut._CACHE
+
+
+def test_spiral_rings_beyond_16_bits():
+    """A 1-D spiral within the table bound can have rings >= 2**16."""
+    curve = get_curve("spiral", 1, 200_001)
+    table = build_lut(curve)
+    assert np.array_equal(np.sort(table),
+                          np.arange(len(curve), dtype=np.uint64))
+    for x in (0, 1, 65_535, 65_536, 65_537, 99_999, 100_000, 100_001,
+              134_463, 134_464, 134_465, 200_000):
+        assert int(table[x]) == curve.index((x,))
+        assert curve.point(int(table[x])) == (x,)
+
+
 def test_subclass_without_builder_falls_back_to_scalar():
     """Builders dispatch on exact types: a subclass may remap cells."""
 
