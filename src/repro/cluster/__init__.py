@@ -7,12 +7,14 @@ serves one array well; :mod:`repro.cluster` is the coordination layer
 the ROADMAP's "millions of users" path needs:
 
 * **Placement** (:mod:`~repro.cluster.placement`) — pluggable stream
-  placement behind one interface: a seeded consistent-hash ring and a
-  load-aware least-reserved policy, both with deterministic
-  tie-breaking.
+  placement behind one interface, a lazy ``candidates`` walk: a seeded
+  consistent-hash ring and a load-aware least-reserved policy, both
+  with deterministic tie-breaking.
 * **Global admission** (:mod:`~repro.cluster.admission`) — per-array
   Table-1 budgets aggregated cluster-wide, with spillover to
-  second-choice arrays before any stream is rejected.
+  second-choice arrays before any stream is rejected.  One decision
+  path, O(log arrays) plus the visited prefix; the full-fleet scan it
+  replaced is the differential reference in ``tests/legacy_oracle.py``.
 * **Failure-driven migration** (:mod:`~repro.cluster.migration`,
   :mod:`~repro.cluster.controller`) — a disk failure degrades the
   rebuilding array's advertised budget and drains its
@@ -62,7 +64,6 @@ from .migration import (
 )
 from .placement import (
     PLACEMENTS,
-    ArrayLoad,
     ConsistentHashPlacement,
     LeastReservedPlacement,
     PlacementPolicy,
@@ -74,7 +75,6 @@ from .report import ArrayReport, FleetReport, build_report
 __all__ = [
     "AdmissionCounters",
     "ArrayBudget",
-    "ArrayLoad",
     "ArrayReport",
     "ClusterConfig",
     "ClusterController",

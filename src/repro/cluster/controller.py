@@ -168,8 +168,7 @@ class ClusterController:
 
     def __init__(self, config: ClusterConfig,
                  fault_plans: dict[int, FaultPlan] | None = None,
-                 *, disk: DiskModel | None = None,
-                 incremental: bool = True) -> None:
+                 *, disk: DiskModel | None = None) -> None:
         self.config = config
         self.fault_plans = dict(fault_plans or {})
         self.disk = disk if disk is not None else make_xp32150_disk()
@@ -178,20 +177,19 @@ class ClusterController:
             config.placement, array_ids, seed=config.seed,
             replicas=config.ring_replicas,
         )
+        # One pricing policy for the whole fleet: every array prices a
+        # stream identically, which GlobalAdmission requires.
+        pricing = ReservationAdmission(
+            self.disk,
+            target_utilization=config.target_utilization,
+            downgrade_limit=config.target_utilization,
+            priority_levels=config.priority_levels,
+        )
         self.budgets = {
-            array_id: ArrayBudget(
-                array_id,
-                ReservationAdmission(
-                    self.disk,
-                    target_utilization=config.target_utilization,
-                    downgrade_limit=config.target_utilization,
-                    priority_levels=config.priority_levels,
-                ),
-            )
+            array_id: ArrayBudget(array_id, pricing)
             for array_id in array_ids
         }
-        self.admission = GlobalAdmission(self.placement, self.budgets,
-                                         incremental=incremental)
+        self.admission = GlobalAdmission(self.placement, self.budgets)
         self.ledger = MigrationLedger(bound_ms=config.migration_pause_ms)
         self.streams: dict[int, PlacedStream] = {}
         #: array id -> {stream key -> placed stream}; kept in lockstep
@@ -200,7 +198,6 @@ class ClusterController:
         self._by_array: dict[int, dict[int, PlacedStream]] = {
             array_id: {} for array_id in array_ids
         }
-        self.rebuilding: set[int] = set()
         self.rebuild_entries = 0
         self._decisions: list[DecisionRecord] = []
         self._timelines: dict[int, list[TimelineEntry]] = {
@@ -279,9 +276,7 @@ class ClusterController:
     # -- arrivals ----------------------------------------------------------
 
     def _arrival(self, stream_key: int, spec, time_ms: float) -> None:
-        decision = self.admission.route(
-            stream_key, spec, frozenset(self.rebuilding)
-        )
+        decision = self.admission.route(stream_key, spec)
         if not decision.admitted:
             self._log(time_ms, "reject", stream_key, -1,
                       decision.reason)
@@ -304,7 +299,6 @@ class ClusterController:
 
     def _rebuild_start(self, array_id: int, time_ms: float) -> None:
         budget = self.budgets[array_id]
-        self.rebuilding.add(array_id)
         self.admission.set_rebuilding(array_id, True)
         self.rebuild_entries += 1
         budget.capacity_factor = self.config.rebuild_capacity_factor
@@ -323,7 +317,6 @@ class ClusterController:
 
     def _rebuild_end(self, array_id: int, time_ms: float) -> None:
         budget = self.budgets[array_id]
-        self.rebuilding.discard(array_id)
         self.admission.set_rebuilding(array_id, False)
         budget.capacity_factor = 1.0
         self._log(time_ms, "rebuild_end", -1, array_id,
@@ -339,7 +332,7 @@ class ClusterController:
         resume_ms = time_ms + self.config.migration_pause_ms
         resumed = resume_spec(victim, resume_ms)
         decision = self.admission.route(
-            victim.stream_key, resumed, frozenset(self.rebuilding),
+            victim.stream_key, resumed,
             exclude=frozenset({victim.array_id}), count=False,
         )
         if not decision.admitted:
@@ -400,7 +393,8 @@ class ClusterController:
             "cluster_migration_drops_total": self.ledger.dropped,
             "cluster_rebuilds_total": self.rebuild_entries,
             "cluster_arrays": float(self.config.arrays),
-            "cluster_arrays_rebuilding": float(len(self.rebuilding)),
+            "cluster_arrays_rebuilding":
+                float(len(self.admission.rebuilding)),
             "cluster_streams_resident": float(len(self.streams)),
             "cluster_reserved_utilization":
                 self.admission.fleet_reserved,

@@ -3,10 +3,12 @@
 The cluster tier keeps placement *policy* separate from admission
 *budgets* (Yashvir & Prakash make the case that scheduling-algorithm
 selection belongs behind an interface; the same argument applies one
-level up).  A :class:`PlacementPolicy` sees the stream's stable key and
-a per-array :class:`ArrayLoad` snapshot and returns a full **preference
-order** over arrays — the global admission controller walks that order
-until a budget accepts (spillover) or the order is exhausted (reject).
+level up).  A :class:`PlacementPolicy` owns the only ordering code: its
+:meth:`~PlacementPolicy.candidates` walk yields a stream's **preference
+order** over arrays lazily, and the global admission controller
+consumes it until a budget accepts (spillover) or the order is
+exhausted (reject).  Load-aware policies are told about every budget
+change through :meth:`~PlacementPolicy.update`.
 
 Two policies cover the classic trade-off:
 
@@ -29,8 +31,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def stable_hash(*labels: object) -> int:
@@ -45,37 +46,32 @@ def stable_hash(*labels: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
-class ArrayLoad:
-    """One array's budget state, as placement policies see it."""
-
-    array_id: int
-    #: Sum of the placed streams' reserved utilization shares.
-    reserved_utilization: float
-    #: Budget ceiling currently advertised (degraded while rebuilding).
-    advertised_limit: float
-    #: True while a hot-spare rebuild eats the array's bandwidth.
-    rebuilding: bool = False
-
-    @property
-    def headroom(self) -> float:
-        """Advertised budget still unreserved (may be negative)."""
-        return self.advertised_limit - self.reserved_utilization
-
-
 class PlacementPolicy(ABC):
     """Interface of all stream-placement policies."""
 
     #: Registry name, e.g. ``"ring"``.
     name: str = "abstract"
 
+    @property
     @abstractmethod
-    def prefer(self, stream_key: int, loads: Sequence[ArrayLoad]
-               ) -> tuple[int, ...]:
-        """Array ids for ``stream_key``, best candidate first.
+    def members(self) -> tuple[int, ...]:
+        """The array ids this policy orders, ascending."""
 
-        Every array in ``loads`` appears exactly once; the admission
-        controller applies budget checks, the policy only orders.
+    @abstractmethod
+    def candidates(self, stream_key: int) -> Iterator[int]:
+        """Array ids for ``stream_key``, best candidate first, lazily.
+
+        Every member appears exactly once.  The admission controller
+        applies the budget checks and stops drawing at the first array
+        that fits, so a policy computes only the prefix it is asked for.
+        """
+
+    def update(self, array_id: int, reserved: float,
+               rebuilding: bool) -> None:
+        """Observe one array's reserved share and rebuild flag.
+
+        Called on every budget change; a policy that ignores load keeps
+        this no-op.
         """
 
 
@@ -113,23 +109,28 @@ class ConsistentHashPlacement(PlacementPolicy):
         #: Sorted ring points and their owning arrays (parallel lists).
         self._points: list[int] = []
         self._owners: list[int] = []
-        for array_id in array_ids:
-            self.join(array_id)
+        self.join(*array_ids)
 
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(sorted(self._members))
 
-    def join(self, array_id: int) -> None:
-        """Add ``array_id``'s virtual nodes to the ring."""
-        if array_id in self._members:
-            raise ValueError(f"array {array_id} already on the ring")
-        self._members.add(array_id)
-        for replica in range(self.replicas):
-            point = stable_hash(self._seed, "ring", array_id, replica)
-            index = bisect.bisect_left(self._points, point)
-            self._points.insert(index, point)
-            self._owners.insert(index, array_id)
+    def join(self, *array_ids: int) -> None:
+        """Add the arrays' virtual nodes to the ring with one sort."""
+        members = set(self._members)
+        for array_id in array_ids:
+            if array_id in members:
+                raise ValueError(f"array {array_id} already on the ring")
+            members.add(array_id)
+        ring = list(zip(self._points, self._owners))
+        ring += [(stable_hash(self._seed, "ring", array_id, replica),
+                  array_id)
+                 for array_id in array_ids
+                 for replica in range(self.replicas)]
+        ring.sort()
+        self._members = members
+        self._points = [point for point, _ in ring]
+        self._owners = [owner for _, owner in ring]
 
     def leave(self, array_id: int) -> None:
         """Remove ``array_id``'s virtual nodes from the ring."""
@@ -149,14 +150,8 @@ class ConsistentHashPlacement(PlacementPolicy):
         index = bisect.bisect_right(self._points, point)
         return self._owners[index % len(self._owners)]
 
-    def successors(self, stream_key: int):
-        """Lazy clockwise walk: distinct ring owners, best first.
-
-        Yields each on-ring array at most once, in the exact order
-        :meth:`prefer` ranks them, without materializing the full
-        tuple — the incremental admission fast path consumes only a
-        prefix (it stops at the first budget that fits).
-        """
+    def candidates(self, stream_key: int) -> Iterator[int]:
+        """Clockwise walk from the stream's point: distinct owners."""
         if not self._points:
             return
         point = stable_hash(self._seed, "stream", stream_key)
@@ -173,28 +168,6 @@ class ConsistentHashPlacement(PlacementPolicy):
                 if len(seen) == members:
                     return
 
-    def prefer(self, stream_key: int, loads: Sequence[ArrayLoad]
-               ) -> tuple[int, ...]:
-        """Clockwise walk from the stream's point, distinct arrays.
-
-        Arrays present in ``loads`` but absent from the ring (not yet
-        joined) trail the order, sorted by id, so the controller can
-        still reach them as a last resort.
-        """
-        if not self._points:
-            return tuple(sorted(load.array_id for load in loads))
-        eligible = {load.array_id for load in loads}
-        order: list[int] = []
-        seen: set[int] = set()
-        for owner in self.successors(stream_key):
-            if owner in eligible:
-                seen.add(owner)
-                order.append(owner)
-                if len(seen) == len(eligible):
-                    break
-        order.extend(sorted(eligible - seen))
-        return tuple(order)
-
 
 class LeastReservedPlacement(PlacementPolicy):
     """Load-aware placement: emptiest reserved budget first.
@@ -204,32 +177,58 @@ class LeastReservedPlacement(PlacementPolicy):
     with a seeded ``(stream, array)`` hash breaking exact ties — two
     arrays at identical load split the incoming streams evenly instead
     of always favouring the lower id.
+
+    The order lives in a sorted ``(rebuilding, reserved, array)`` index
+    kept current by :meth:`update`, so a decision tie-hashes only the
+    equal-load groups it actually visits instead of the whole fleet.
     """
 
     name = "least-reserved"
 
-    def __init__(self, *, seed: int = 0) -> None:
+    def __init__(self, array_ids: Sequence[int] = (), *,
+                 seed: int = 0) -> None:
         self._seed = seed
+        self._index: list[tuple[bool, float, int]] = []
+        self._keys: dict[int, tuple[bool, float, int]] = {}
+        for array_id in array_ids:
+            self.update(array_id, 0.0, False)
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple(sorted(self._keys))
 
     def tie_key(self, stream_key: int, array_id: int) -> int:
-        """The seeded per-(stream, array) tie-break hash.
-
-        Exposed so the incremental admission fast path can order only
-        the arrays inside one equal-(rebuilding, reserved) group
-        instead of hashing the whole fleet per decision.
-        """
+        """The seeded per-(stream, array) tie-break hash."""
         return stable_hash(self._seed, "tie", stream_key, array_id)
 
-    def prefer(self, stream_key: int, loads: Sequence[ArrayLoad]
-               ) -> tuple[int, ...]:
-        return tuple(load.array_id for load in sorted(
-            loads,
-            key=lambda load: (
-                load.rebuilding,
-                round(load.reserved_utilization, 12),
-                self.tie_key(stream_key, load.array_id),
-            ),
-        ))
+    def update(self, array_id: int, reserved: float,
+               rebuilding: bool) -> None:
+        old = self._keys.get(array_id)
+        new = (rebuilding, round(reserved, 12), array_id)
+        if old == new:
+            return
+        if old is not None:
+            del self._index[bisect.bisect_left(self._index, old)]
+        bisect.insort(self._index, new)
+        self._keys[array_id] = new
+
+    def candidates(self, stream_key: int) -> Iterator[int]:
+        """Members in index order, tie-hashed one equal-load group at
+        a time."""
+        index = self._index
+        i = 0
+        n = len(index)
+        while i < n:
+            j = i
+            group_key = index[i][:2]
+            while j < n and index[j][:2] == group_key:
+                j += 1
+            group = [index[k][2] for k in range(i, j)]
+            if len(group) > 1:
+                group.sort(key=lambda array_id:
+                           self.tie_key(stream_key, array_id))
+            yield from group
+            i = j
 
 
 #: Registry of placement policies by name.
@@ -243,7 +242,7 @@ def make_placement(name: str, array_ids: Sequence[int], *,
         return ConsistentHashPlacement(array_ids, seed=seed,
                                        replicas=replicas)
     if name == "least-reserved":
-        return LeastReservedPlacement(seed=seed)
+        return LeastReservedPlacement(array_ids, seed=seed)
     raise KeyError(
         f"unknown placement policy {name!r}; known: "
         + ", ".join(PLACEMENTS)

@@ -318,13 +318,11 @@ _BUILDERS = {
 def _builder(curve: SpaceFillingCurve):
     """The table builder for ``curve``'s exact type, or None.
 
-    Exact types, since a subclass may remap cells.  Transforms need a
-    tabulable base on a square grid: a transform of a glued curve keeps
-    only the base's square side, so its grid is not the glued grid.
+    Exact types, since a subclass may remap cells; a transform also
+    needs a tabulable base.
     """
     base = getattr(curve, "_base", None)
-    if base is not None and (isinstance(base, GluedCurve)
-                             or _builder(base) is None):
+    if base is not None and _builder(base) is None:
         return None
     return _BUILDERS.get(type(curve))
 

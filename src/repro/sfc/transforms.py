@@ -16,7 +16,9 @@ first-class, testable object:
   the generalization of the paper's R-partitioned SFC3 stage.
 
 All transforms preserve the bijection property, so every test that
-holds for a base curve holds for its transforms.
+holds for a base curve holds for its transforms.  A glued curve's grid
+is rectangular, so it can only be the outermost transform: each
+constructor here refuses a glued base.
 """
 
 from __future__ import annotations
@@ -24,6 +26,20 @@ from __future__ import annotations
 from typing import Sequence
 
 from .base import CurveDomainError, SpaceFillingCurve
+
+
+def _unglued(base: SpaceFillingCurve) -> SpaceFillingCurve:
+    """``base``, or CurveDomainError when it is a :class:`GluedCurve`.
+
+    A transform takes its base's square ``side``, which over a glued
+    base would drop the extended axis and every tile past the first.
+    """
+    if isinstance(base, GluedCurve):
+        raise CurveDomainError(
+            f"cannot transform the glued curve {base.name}; "
+            "glue the transformed curve instead"
+        )
+    return base
 
 
 class PermutedCurve(SpaceFillingCurve):
@@ -38,6 +54,7 @@ class PermutedCurve(SpaceFillingCurve):
 
     def __init__(self, base: SpaceFillingCurve,
                  permutation: Sequence[int]) -> None:
+        _unglued(base)
         perm = tuple(int(p) for p in permutation)
         if sorted(perm) != list(range(base.dims)):
             raise CurveDomainError(
@@ -76,6 +93,7 @@ class ReflectedCurve(SpaceFillingCurve):
 
     def __init__(self, base: SpaceFillingCurve,
                  reflected: Sequence[int]) -> None:
+        _unglued(base)
         dims_set = frozenset(int(d) for d in reflected)
         for d in dims_set:
             if not 0 <= d < base.dims:
@@ -106,6 +124,7 @@ class ReversedCurve(SpaceFillingCurve):
     name = "reversed"
 
     def __init__(self, base: SpaceFillingCurve) -> None:
+        _unglued(base)
         super().__init__(base.dims, base.side)
         self._base = base
         self.name = f"{base.name}[reversed]"
@@ -136,6 +155,7 @@ class GluedCurve(SpaceFillingCurve):
 
     def __init__(self, base: SpaceFillingCurve, copies: int,
                  axis: int = 0) -> None:
+        _unglued(base)
         if copies < 1:
             raise CurveDomainError("copies must be >= 1")
         if not 0 <= axis < base.dims:

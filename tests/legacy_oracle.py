@@ -14,16 +14,34 @@ slow and obviously right; the differential batteries
 ``tests/test_serve_engine_differential.py``) and the golden replays
 (``tests/test_determinism_golden.py``, ``tests/test_cluster_golden.py``)
 require the shipped loops to reproduce them bit for bit.
+
+The cluster decision tier has its reference here too:
+:func:`route_scan` snapshots every array's load and ranks the whole
+fleet per decision, where :meth:`repro.cluster.GlobalAdmission.route`
+walks indexed views lazily; ``tests/test_cluster_incremental.py``
+requires identical decisions.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 from unittest import mock
 
+from repro.cluster.admission import (
+    ClusterDecision,
+    GlobalAdmission,
+    RouteDecision,
+)
+from repro.cluster.placement import (
+    LeastReservedPlacement,
+    PlacementPolicy,
+    stable_hash,
+)
 from repro.core.request import DiskRequest
 from repro.obs.observer import Observer, live
 from repro.schedulers.base import Scheduler
@@ -528,4 +546,118 @@ def legacy_serving() -> Iterator[None]:
         for module in (repro.serve, serve_demo, faults_scenario):
             stack.enter_context(mock.patch.object(
                 module, "StreamingServer", LegacyStreamingServer))
+        yield
+
+
+# -- cluster decision tier ----------------------------------------------------
+
+@dataclass(frozen=True)
+class ArrayLoad:
+    """One array's budget state, as the reference ordering sees it."""
+
+    array_id: int
+    #: Sum of the placed streams' reserved utilization shares.
+    reserved_utilization: float
+    #: Budget ceiling currently advertised (degraded while rebuilding).
+    advertised_limit: float
+    #: True while a hot-spare rebuild eats the array's bandwidth.
+    rebuilding: bool = False
+
+
+def prefer(placement: PlacementPolicy, stream_key: int,
+           loads: Sequence[ArrayLoad]) -> tuple[int, ...]:
+    """Reference preference order over ``loads``, best first.
+
+    Least-reserved: sort every load by (rebuilding, reserved rounded to
+    12 places, tie hash).  Ring: the full clockwise walk from the
+    stream's point over the ring's points, first occurrence of each
+    eligible array.
+    """
+    if isinstance(placement, LeastReservedPlacement):
+        return tuple(load.array_id for load in sorted(
+            loads,
+            key=lambda load: (
+                load.rebuilding,
+                round(load.reserved_utilization, 12),
+                placement.tie_key(stream_key, load.array_id),
+            ),
+        ))
+    eligible = {load.array_id for load in loads}
+    points, owners = placement._points, placement._owners
+    start = bisect.bisect_right(
+        points, stable_hash(placement._seed, "stream", stream_key))
+    order: list[int] = []
+    for step in range(len(owners)):
+        if len(order) == len(eligible):
+            break
+        owner = owners[(start + step) % len(owners)]
+        if owner in eligible and owner not in order:
+            order.append(owner)
+    return tuple(order)
+
+
+def loads(admission: GlobalAdmission) -> list[ArrayLoad]:
+    """Per-array load snapshots in array-id order."""
+    return [
+        ArrayLoad(array_id=array_id,
+                  reserved_utilization=budget.reserved,
+                  advertised_limit=budget.advertised_limit,
+                  rebuilding=array_id in admission.rebuilding)
+        for array_id, budget in sorted(admission.budgets.items())
+    ]
+
+
+def route_scan(admission: GlobalAdmission, stream_key: int, spec,
+               *, exclude: frozenset[int] = frozenset(),
+               count: bool = True) -> ClusterDecision:
+    """Reference for :meth:`repro.cluster.GlobalAdmission.route`.
+
+    Builds every load snapshot, ranks the whole fleet and walks the
+    order, pricing the stream on each array -- O(arrays) per decision.
+    ``preferred`` is the full order, not the consulted prefix.
+    """
+    eligible = [load for load in loads(admission)
+                if load.array_id not in exclude]
+    preferred = prefer(admission.placement, stream_key, eligible)
+    for rank, array_id in enumerate(preferred):
+        budget = admission.budgets[array_id]
+        share = budget.share_for(spec)
+        if budget.reserved + share <= budget.advertised_limit:
+            budget.reserve(share)
+            decision = (RouteDecision.ADMIT if rank == 0
+                        else RouteDecision.SPILL)
+            if count:
+                if decision is RouteDecision.ADMIT:
+                    admission.counters.admitted += 1
+                else:
+                    admission.counters.spillovers += 1
+            return ClusterDecision(
+                decision=decision,
+                array_id=array_id,
+                share=share,
+                rank=rank,
+                preferred=preferred,
+                reason=(f"array {array_id} reserved "
+                        f"{budget.reserved:.3f}"
+                        f"/{budget.advertised_limit:.3f}"
+                        + (f" after {rank} spills" if rank else "")),
+            )
+    if count:
+        admission.counters.rejected += 1
+    return ClusterDecision(
+        decision=RouteDecision.REJECT,
+        array_id=-1,
+        share=0.0,
+        rank=len(preferred),
+        preferred=preferred,
+        reason="no array budget fits "
+               f"(tried {len(preferred)} arrays)",
+    )
+
+
+@contextmanager
+def scan_admission() -> Iterator[None]:
+    """Route every :class:`GlobalAdmission` decision through
+    :func:`route_scan` for the block's duration."""
+    with mock.patch.object(GlobalAdmission, "route", route_scan):
         yield

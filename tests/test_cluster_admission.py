@@ -18,12 +18,10 @@ MPEG = StreamSpec(rate_mbps=0.375)
 
 
 def make_admission(disk, arrays=4, *, target=0.85, placement=None):
-    budgets = {
-        i: ArrayBudget(i, ReservationAdmission(
-            disk, target_utilization=target, downgrade_limit=target,
-            priority_levels=8))
-        for i in range(arrays)
-    }
+    pricing = ReservationAdmission(
+        disk, target_utilization=target, downgrade_limit=target,
+        priority_levels=8)
+    budgets = {i: ArrayBudget(i, pricing) for i in range(arrays)}
     policy = placement or make_placement(
         "ring", list(budgets), seed=7)
     return GlobalAdmission(policy, budgets)
@@ -113,7 +111,7 @@ class TestGlobalAdmission:
 
     def test_least_reserved_placement_balances_exactly(self, disk):
         fleet = make_admission(
-            disk, placement=LeastReservedPlacement(seed=7))
+            disk, placement=LeastReservedPlacement(range(4), seed=7))
         for key in range(40):
             assert fleet.route(key, MPEG).admitted
         counts = [b.streams for b in fleet.budgets.values()]
@@ -121,7 +119,9 @@ class TestGlobalAdmission:
 
     def test_rebuilding_flag_reaches_the_policy(self, disk):
         fleet = make_admission(
-            disk, placement=LeastReservedPlacement(seed=7))
-        decision = fleet.route(0, MPEG, rebuilding=frozenset({0, 1, 2}))
+            disk, placement=LeastReservedPlacement(range(4), seed=7))
+        for array_id in (0, 1, 2):
+            fleet.set_rebuilding(array_id, True)
+        decision = fleet.route(0, MPEG)
         # The only healthy array wins even at equal (zero) load.
         assert decision.preferred[0] == 3

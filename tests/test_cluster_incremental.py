@@ -1,17 +1,19 @@
-"""Incremental cluster decision tier vs the full-fleet scan oracle.
+"""The shipped cluster decision tier vs the full-fleet scan oracle.
 
-``GlobalAdmission.route`` answers in O(log arrays) from incremental
-indexes (reserved-budget accumulators, a lazy max-headroom heap, the
-sorted least-reserved index); ``route_scan`` is the original O(arrays)
-full-fleet ranking kept as the differential oracle.  These tests pin
-the promise in ``route_scan``'s docstring: the fast path is
-byte-identical to the scan — per decision field, across mixed
-open/close/rebuild scripts, through whole controller replays, and
-against the committed golden cluster trace on both paths.
+``GlobalAdmission.route`` answers in O(log arrays) from indexed views
+(a max-headroom queue, the placement's lazy ``candidates`` walk);
+``tests.legacy_oracle.route_scan`` is the O(arrays) full-fleet ranking
+it replaced, kept as the differential reference.  These tests require
+identical decisions per field, across mixed open/close/rebuild
+scripts, through whole controller replays (including the default
+16-array fleet under both placements), and against the committed
+golden cluster trace on both paths.  The preconditions the shipped
+route relies on fail loudly when broken.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
 from random import Random
 
@@ -22,7 +24,9 @@ from hypothesis import strategies as st
 from repro.cluster import (
     ArrayBudget,
     ClusterController,
+    ConsistentHashPlacement,
     GlobalAdmission,
+    PlacementPolicy,
     RouteDecision,
     make_placement,
 )
@@ -36,45 +40,60 @@ from repro.experiments.cluster_demo import (
 from repro.serve import StreamSpec
 from repro.serve.admission import ReservationAdmission
 
+from .legacy_oracle import route_scan, scan_admission
 from .test_cluster_golden import GOLDEN_DIR, GOLDEN_SPEC
 
 
-def build_admission(disk, arrays, placement, *, incremental,
-                    disks=None):
-    """One GlobalAdmission over ``arrays`` fresh budgets.
+def pricing(disk):
+    return ReservationAdmission(disk, target_utilization=0.85,
+                                downgrade_limit=0.85, priority_levels=8)
 
-    ``disks`` maps array id to a per-array disk model; the default
-    shares one model fleet-wide (the uniform-pricing shape the
-    controller builds).
-    """
-    budgets = {
-        i: ArrayBudget(i, ReservationAdmission(
-            (disks or {}).get(i, disk),
-            target_utilization=0.85,
-            downgrade_limit=0.85,
-            priority_levels=8))
-        for i in range(arrays)
-    }
+
+def build_admission(disk, arrays, placement):
+    """One GlobalAdmission over ``arrays`` fresh budgets sharing one
+    pricing policy (the shape the controller builds)."""
+    shared = pricing(disk)
+    budgets = {i: ArrayBudget(i, shared) for i in range(arrays)}
     policy = make_placement(placement, list(budgets), seed=7)
-    return GlobalAdmission(policy, budgets, incremental=incremental)
+    return GlobalAdmission(policy, budgets)
 
 
 def decision_fields(decision):
     """Everything both paths must agree on.
 
-    ``preferred`` is deliberately omitted: the fast path returns the
-    prefix of the preference order it actually consulted, the scan the
-    full order — the decision log records neither beyond the reason.
+    ``preferred`` is deliberately omitted: the shipped route returns
+    the prefix of the preference order it actually consulted, the scan
+    the full order — the decision log records neither beyond the
+    reason.
     """
     return (decision.decision, decision.array_id, decision.share,
             decision.rank, decision.reason)
 
 
+def plan_of(spec, *, oracle):
+    """``spec``'s decision plan, through the scan oracle if asked."""
+    events, plans = cluster_events(spec), fault_plans(spec)
+    with scan_admission() if oracle else nullcontext():
+        controller = ClusterController(make_config(spec), plans)
+        return controller.run(events, spec.until_ms)
+
+
+def assert_plans_identical(spec):
+    """Replay ``spec`` both ways; every plan table must match."""
+    shipped = plan_of(spec, oracle=False)
+    scan = plan_of(spec, oracle=True)
+    assert shipped.serialize() == scan.serialize()
+    assert shipped.counters == scan.counters
+    assert shipped.reserved == scan.reserved
+    assert shipped.resident == scan.resident
+    return shipped
+
+
 @pytest.mark.parametrize("placement", ["ring", "least-reserved"])
 def test_mixed_script_decisions_identical(disk, placement):
     """route == route_scan over a mixed open/close/rebuild script."""
-    fast = build_admission(disk, 5, placement, incremental=True)
-    scan = build_admission(disk, 5, placement, incremental=False)
+    fast = build_admission(disk, 5, placement)
+    scan = build_admission(disk, 5, placement)
     rng = Random(11)
     placed: dict[int, tuple[int, float]] = {}
     rebuilding: set[int] = set()
@@ -87,10 +106,8 @@ def test_mixed_script_decisions_identical(disk, placement):
                               priorities=(rng.randrange(4),))
             exclude = (frozenset({rng.randrange(5)})
                        if rng.random() < 0.1 else frozenset())
-            got = fast.route(key, spec, frozenset(rebuilding),
-                             exclude=exclude)
-            want = scan.route(key, spec, frozenset(rebuilding),
-                              exclude=exclude)
+            got = fast.route(key, spec, exclude=exclude)
+            want = route_scan(scan, key, spec, exclude=exclude)
             assert decision_fields(got) == decision_fields(want), step
             kinds.add(got.decision)
             if got.admitted:
@@ -121,23 +138,37 @@ def test_mixed_script_decisions_identical(disk, placement):
             == scan.budgets[array_id].reserved
 
 
-def test_non_uniform_pricing_falls_back_to_scan(disk):
-    """A fleet without one shared disk model disables the shared-share
-    fast path (pricing is no longer provably uniform) but never
-    changes a decision."""
+def test_non_uniform_pricing_is_rejected(disk):
+    """A fleet with one budget on a different disk model prices streams
+    differently; construction refuses it instead of routing it."""
     other = make_xp32150_disk()
     other.reset(0)
-    disks = {2: other}
-    fast = build_admission(disk, 4, "ring", incremental=True,
-                           disks=disks)
-    scan = build_admission(disk, 4, "ring", incremental=False,
-                           disks=disks)
-    assert not fast._uniform_pricing
-    for key in range(120):
-        spec = StreamSpec(rate_mbps=1.5)
-        assert decision_fields(fast.route(key, spec)) \
-            == decision_fields(scan.route(key, spec))
-    assert fast.counters == scan.counters
+    shared = pricing(disk)
+    budgets = {i: ArrayBudget(i, shared) for i in range(4)}
+    budgets[2] = ArrayBudget(2, pricing(other))
+    with pytest.raises(ValueError, match="share one"):
+        GlobalAdmission(make_placement("ring", list(budgets), seed=7),
+                        budgets)
+
+
+@pytest.mark.parametrize("members", [(0, 1, 2), (0, 1, 2, 3, 4),
+                                     (0, 1, 2, 5)])
+def test_budget_ids_must_equal_ring_members(disk, members):
+    """Budgets the ring does not place, or ring members without a
+    budget, are a construction error."""
+    shared = pricing(disk)
+    budgets = {i: ArrayBudget(i, shared) for i in range(4)}
+    with pytest.raises(ValueError, match="members"):
+        GlobalAdmission(ConsistentHashPlacement(members, seed=7), budgets)
+
+
+def test_placement_without_candidates_is_abstract():
+    """A policy must implement the one ordering walk."""
+    class MembersOnly(PlacementPolicy):
+        members = (0, 1)
+
+    with pytest.raises(TypeError, match="candidates"):
+        MembersOnly()
 
 
 @settings(max_examples=12, deadline=None)
@@ -151,8 +182,9 @@ def test_non_uniform_pricing_falls_back_to_scan(disk):
 def test_controller_replay_incremental_matches_scan(
         arrays, users, placement, fail_one, seed):
     """Whole-controller differential: decision log, counters, reserved
-    and resident tables byte-identical with the fast path on and off,
-    including the failure -> rebuild -> migration window."""
+    and resident tables byte-identical between the shipped route and
+    the scan oracle, including the failure -> rebuild -> migration
+    window."""
     spec = replace(
         ClusterSpec(),
         arrays=arrays,
@@ -168,29 +200,24 @@ def test_controller_replay_incremental_matches_scan(
         failure_start_ms=3_000.0,
         failure_end_ms=6_000.0,
     )
-    events = cluster_events(spec)
-    plans = fault_plans(spec)
-
-    def plan_of(incremental):
-        controller = ClusterController(make_config(spec), plans,
-                                       incremental=incremental)
-        return controller.run(events, spec.until_ms)
-
-    incremental, scan = plan_of(True), plan_of(False)
-    assert incremental.serialize() == scan.serialize()
-    assert incremental.counters == scan.counters
-    assert incremental.reserved == scan.reserved
-    assert incremental.resident == scan.resident
+    assert_plans_identical(spec)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_both_paths_match_golden_trace(incremental):
-    """The committed golden cluster trace replays byte for byte on the
-    incremental path and on the scan oracle alike."""
+@pytest.mark.parametrize("placement", ["ring", "least-reserved"])
+def test_default_fleet_replay_matches_oracle(placement):
+    """The default 16-array fleet (one disk failure, a migration wave)
+    decides identically through the shipped route and the oracle."""
+    spec = replace(ClusterSpec(), placement=placement)
+    plan = assert_plans_identical(spec)
+    assert spec.arrays == 16
+    assert plan.ledger.migrated >= 1
+    assert plan.counters["rejected"] >= 1
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_both_paths_match_golden_trace(oracle):
+    """The committed golden cluster trace replays byte for byte through
+    the shipped route and through the scan oracle alike."""
     golden = (GOLDEN_DIR / "cluster_trace.txt").read_bytes()
-    controller = ClusterController(make_config(GOLDEN_SPEC),
-                                   fault_plans(GOLDEN_SPEC),
-                                   incremental=incremental)
-    plan = controller.run(cluster_events(GOLDEN_SPEC),
-                          GOLDEN_SPEC.until_ms)
+    plan = plan_of(GOLDEN_SPEC, oracle=oracle)
     assert plan.serialize() == golden.rstrip(b"\n")

@@ -11,17 +11,20 @@ its two defining properties are pinned directly:
 
 from __future__ import annotations
 
+import bisect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.cluster import (
-    ArrayLoad,
     ConsistentHashPlacement,
     LeastReservedPlacement,
     make_placement,
     stable_hash,
 )
+
+from .legacy_oracle import ArrayLoad, prefer
 
 ARRAYS = 16
 #: Max/mean load-ratio ceiling at 128 virtual nodes per array.
@@ -55,13 +58,15 @@ class TestRingBalance:
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
     def test_prefer_is_a_permutation(self, seed):
-        """prefer() returns every eligible array exactly once."""
+        """candidates() yields every member exactly once, in the
+        oracle's full-walk preference order."""
         ring = ConsistentHashPlacement(range(ARRAYS), seed=seed)
         loads = [ArrayLoad(i, 0.0, 0.85) for i in range(ARRAYS)]
         for key in range(50):
-            order = ring.prefer(key, loads)
+            order = tuple(ring.candidates(key))
             assert sorted(order) == list(range(ARRAYS))
             assert order[0] == ring.assign(key)
+            assert order == prefer(ring, key, loads)
 
 
 class TestRingChurn:
@@ -103,26 +108,66 @@ class TestRingChurn:
         assert _assignments(ring, 500) == before
 
 
+def per_point_ring(array_ids, seed, replicas=128):
+    """Reference ring build: one sorted insertion per virtual node."""
+    points: list[int] = []
+    owners: list[int] = []
+    for array_id in array_ids:
+        for replica in range(replicas):
+            point = stable_hash(seed, "ring", array_id, replica)
+            index = bisect.bisect_left(points, point)
+            points.insert(index, point)
+            owners.insert(index, array_id)
+    return points, owners
+
+
+class TestRingBuild:
+    @pytest.mark.parametrize("arrays", [16, 128])
+    @pytest.mark.parametrize("seed", [0, 7, 2004])
+    def test_one_sort_equals_per_point_build(self, arrays, seed):
+        ring = ConsistentHashPlacement(range(arrays), seed=seed)
+        assert (ring._points, ring._owners) \
+            == per_point_ring(range(arrays), seed)
+
+    def test_join_merges_into_the_ring(self):
+        ring = ConsistentHashPlacement(range(8), seed=3)
+        ring.join(8, 9)
+        assert (ring._points, ring._owners) \
+            == per_point_ring(range(10), 3)
+        assert ring.members == tuple(range(10))
+
+    @pytest.mark.parametrize("joining", [(3,), (8, 8)])
+    def test_join_refuses_duplicates_untouched(self, joining):
+        ring = ConsistentHashPlacement(range(8), seed=3)
+        before = (list(ring._points), ring.members)
+        with pytest.raises(ValueError, match="already on the ring"):
+            ring.join(*joining)
+        assert (ring._points, ring.members) == before
+
+
 class TestLeastReserved:
     @given(seed=seeds, key=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)
     def test_orders_by_reserved_then_demotes_rebuilding(self, seed, key):
-        policy = LeastReservedPlacement(seed=seed)
+        policy = LeastReservedPlacement(range(4), seed=seed)
         loads = [
             ArrayLoad(0, 0.5, 0.85),
             ArrayLoad(1, 0.1, 0.85),
             ArrayLoad(2, 0.3, 0.85),
             ArrayLoad(3, 0.0, 0.51, rebuilding=True),
         ]
-        order = policy.prefer(key, loads)
+        for load in loads:
+            policy.update(load.array_id, load.reserved_utilization,
+                          load.rebuilding)
+        order = tuple(policy.candidates(key))
         assert order[:3] == (1, 2, 0)
         assert order[3] == 3  # rebuilding array goes last
+        assert order == prefer(policy, key, loads)
 
     def test_ties_split_by_stream_not_by_id(self):
         """Equal loads must not always favour the lowest array id."""
-        policy = LeastReservedPlacement(seed=0)
-        loads = [ArrayLoad(i, 0.0, 0.85) for i in range(4)]
-        firsts = {policy.prefer(key, loads)[0] for key in range(200)}
+        policy = LeastReservedPlacement(range(4), seed=0)
+        firsts = {next(policy.candidates(key)) for key in range(200)}
         assert len(firsts) == 4
 
 

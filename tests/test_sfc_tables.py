@@ -194,12 +194,16 @@ def test_subclass_without_builder_falls_back_to_scalar():
     assert list(curve.walk()) == [curve.point(i) for i in range(36)]
 
 
-def test_transform_of_a_glued_curve_has_no_table():
+def test_transform_of_a_glued_curve_raises():
     """A transform keeps its base's square side, so over a glued base
-    its grid is not the glued grid; no table is built for it."""
+    it would not cover the glued grid; construction refuses it."""
     glued = GluedCurve(get_curve("sweep", 2, 4), 2, 0)
-    assert build_lut(ReversedCurve(glued)) is None
-    assert build_lut(GluedCurve(glued, 2, 1)) is None
+    for transform in (lambda: PermutedCurve(glued, [1, 0]),
+                      lambda: ReflectedCurve(glued, [0]),
+                      lambda: ReversedCurve(glued),
+                      lambda: GluedCurve(glued, 2, 1)):
+        with pytest.raises(ValueError, match="glued"):
+            transform()
 
 
 # -- hypothesis: larger random shapes, sampled cells ------------------------
