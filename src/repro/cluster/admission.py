@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.serve.admission import ReservationAdmission
 from repro.serve.session import StreamSpec
@@ -54,8 +54,20 @@ class RouteDecision(enum.Enum):
     REJECT = "reject"
 
 
-@dataclass(frozen=True)
-class ClusterDecision:
+def admit_reason(array_id: int, reserved: float, limit: float,
+                 rank: int) -> str:
+    """Decision-log detail of an admit/spill: the granting budget's
+    reserved share after the grant, over its advertised limit."""
+    return (f"array {array_id} reserved {reserved:.3f}/{limit:.3f}"
+            + (f" after {rank} spills" if rank else ""))
+
+
+def reject_reason(tried: int) -> str:
+    """Decision-log detail of a fleet-wide reject."""
+    return f"no array budget fits (tried {tried} arrays)"
+
+
+class ClusterDecision(NamedTuple):
     """Decision plus the routing that produced it."""
 
     decision: RouteDecision
@@ -63,15 +75,27 @@ class ClusterDecision:
     array_id: int
     #: Reserved utilization share on the granted array (0 on reject).
     share: float
-    #: Preference rank the stream landed at (0 = first choice).
+    #: Preference rank the stream landed at (0 = first choice); on a
+    #: reject, the number of arrays tried.
     rank: int
-    #: The placement preference order consulted, for the decision log.
+    #: The placement preference order consulted.
     preferred: tuple[int, ...]
-    reason: str
+    #: The granting budget's reserved share after the grant, and its
+    #: advertised limit (both 0 on reject).
+    reserved: float = 0.0
+    limit: float = 0.0
 
     @property
     def admitted(self) -> bool:
         return self.decision is not RouteDecision.REJECT
+
+    @property
+    def reason(self) -> str:
+        """Human-readable detail, formatted only when read."""
+        if self.decision is RouteDecision.REJECT:
+            return reject_reason(self.rank)
+        return admit_reason(self.array_id, self.reserved, self.limit,
+                            self.rank)
 
 
 class ArrayBudget:
@@ -149,6 +173,12 @@ class ArrayBudget:
         self._notify()
 
     def release(self, share: float) -> None:
+        if self.streams == 0:
+            raise ValueError(
+                f"array {self.array_id} has no stream to release"
+            )
+        # The clamp absorbs float rounding only: the last release of a
+        # sum of shares can land a few ulps below zero.
         self._reserved = max(self._reserved - share, 0.0)
         self.streams -= 1
         self._notify()
@@ -203,9 +233,10 @@ class GlobalAdmission:
 
     The preconditions hold by construction or fail loudly: every budget
     must share one pricing policy (one ``share_for`` call prices a
-    decision fleet-wide), and the budget ids must equal the placement's
-    members.  The full-fleet scan this replaced lives in
-    ``tests/legacy_oracle.py`` as the differential reference.
+    stream class fleet-wide, and is memoized per class), and the budget
+    ids must equal the placement's members.  The full-fleet scan this
+    replaced lives in ``tests/legacy_oracle.py`` as the differential
+    reference.
     """
 
     def __init__(self, placement: PlacementPolicy,
@@ -227,6 +258,10 @@ class GlobalAdmission:
         self.rebuilding: set[int] = set()
         #: Array id -> negated headroom; the minimum is the best fit.
         self._headroom: IndexedPriorityQueue[int] = IndexedPriorityQueue()
+        #: ``(block_bytes, rate_mbps)`` -> reserved share.  Those two
+        #: fields are all the shared pricing policy reads, so a stream
+        #: class is priced once per fleet, not once per decision.
+        self._shares: dict[tuple[int, float], float] = {}
         for budget in budgets.values():
             budget.subscribe(self._budget_changed)
             self._budget_changed(budget)
@@ -262,7 +297,11 @@ class GlobalAdmission:
         order actually consulted (empty for a short-circuited reject).
         """
         budgets = self.budgets
-        share = next(iter(budgets.values())).share_for(spec)
+        stream_class = (spec.block_bytes, spec.rate_mbps)
+        share = self._shares.get(stream_class)
+        if share is None:
+            share = next(iter(budgets.values())).share_for(spec)
+            self._shares[stream_class] = share
         if not exclude:
             _, neg_headroom = self._headroom.peek()
             if share > -neg_headroom + _HEADROOM_SLACK:
@@ -274,7 +313,8 @@ class GlobalAdmission:
                 continue
             visited.append(array_id)
             budget = budgets[array_id]
-            if budget.reserved + share <= budget.advertised_limit:
+            limit = budget.advertised_limit
+            if budget.reserved + share <= limit:
                 budget.reserve(share)
                 rank = len(visited) - 1
                 if rank == 0:
@@ -285,31 +325,17 @@ class GlobalAdmission:
                     decision = RouteDecision.SPILL
                     if count:
                         self.counters.spillovers += 1
-                return ClusterDecision(
-                    decision=decision,
-                    array_id=array_id,
-                    share=share,
-                    rank=rank,
-                    preferred=tuple(visited),
-                    reason=(f"array {array_id} reserved "
-                            f"{budget.reserved:.3f}"
-                            f"/{budget.advertised_limit:.3f}"
-                            + (f" after {rank} spills" if rank else "")),
-                )
+                return ClusterDecision(decision, array_id, share, rank,
+                                       tuple(visited), budget.reserved,
+                                       limit)
         return self._reject(len(visited), tuple(visited), count)
 
     def _reject(self, tried: int, preferred: tuple[int, ...],
                 count: bool) -> ClusterDecision:
         if count:
             self.counters.rejected += 1
-        return ClusterDecision(
-            decision=RouteDecision.REJECT,
-            array_id=-1,
-            share=0.0,
-            rank=tried,
-            preferred=preferred,
-            reason=f"no array budget fits (tried {tried} arrays)",
-        )
+        return ClusterDecision(RouteDecision.REJECT, -1, 0.0, tried,
+                               preferred)
 
     def release(self, array_id: int, share: float) -> None:
         """Return a departed stream's share to its array budget."""

@@ -10,8 +10,10 @@ advertised budget, and migrates the overhang
 (:mod:`repro.cluster.migration`).  Its output is a :class:`ClusterPlan`:
 
 * a **decision log** — the admit/spill/reject/migrate/drop sequence,
-  serializable to canonical bytes (the golden cluster trace), and
-* one **per-array timeline** of ``open``/``close`` actions — the
+  serializable to canonical bytes (the golden cluster trace), kept as
+  rows of plain atoms whose detail text is formatted only when read,
+  and
+* one **per-array timeline** of ``open``/``close`` tuple records — the
   closed script each array's serving cell
   (:func:`repro.parallel.cells.run_cluster_cell`) replays through a
   real :class:`~repro.serve.server.StreamingServer`.
@@ -26,14 +28,21 @@ argument as :mod:`repro.parallel.runner`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from repro.disk.disk import DiskModel, make_xp32150_disk
 from repro.faults import FaultPlan
 from repro.serve.admission import ReservationAdmission
 from repro.serve.adapter import RampEvent
 
-from .admission import ArrayBudget, GlobalAdmission, RouteDecision
+from .admission import (
+    ArrayBudget,
+    GlobalAdmission,
+    admit_reason,
+    reject_reason,
+)
 from .migration import (
     MigrationLedger,
     MigrationRecord,
@@ -90,7 +99,7 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    """One line of the cluster decision log."""
+    """One line of the cluster decision log (a view of one plan row)."""
 
     time_ms: float
     #: One of :data:`DECISION_KINDS`.
@@ -102,8 +111,7 @@ class DecisionRecord:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
+class TimelineEntry(NamedTuple):
     """One scripted action on one array's serving timeline."""
 
     time_ms: float
@@ -114,12 +122,34 @@ class TimelineEntry:
     spec: object | None = None
 
 
+#: Timeline order: by time, then stream key.
+_TIMELINE_ORDER = itemgetter(0, 2)
+
+
+def row_detail(row: tuple) -> str:
+    """The decision-log detail of one plan row, formatted on read.
+
+    Rows are ``(time_ms, kind, stream_key, array_id, *detail)``: an
+    admit/spill row keeps ``(reserved, limit, rank)`` of the granting
+    budget, a reject row the number of arrays tried, and every other
+    kind its detail string.
+    """
+    kind = row[1]
+    if kind == "admit" or kind == "spill":
+        return admit_reason(row[3], row[4], row[5], row[6])
+    if kind == "reject":
+        return reject_reason(row[4])
+    return row[4]
+
+
 @dataclass
 class ClusterPlan:
     """Everything the controller decided, ready for the serving tier."""
 
     config: ClusterConfig
-    decisions: list[DecisionRecord] = field(default_factory=list)
+    #: The decision log as rows of plain atoms (see :func:`row_detail`);
+    #: read :attr:`decisions` for :class:`DecisionRecord` views.
+    log: list[tuple] = field(default_factory=list)
     #: array id -> time-ordered open/close script.
     timelines: dict[int, list[TimelineEntry]] = field(
         default_factory=dict)
@@ -137,12 +167,18 @@ class ClusterPlan:
         return self.counters.get("admitted", 0) \
             + self.counters.get("spillovers", 0)
 
+    @property
+    def decisions(self) -> list[DecisionRecord]:
+        """The decision log as records, built on each read."""
+        return [DecisionRecord(row[0], row[1], row[2], row[3],
+                               row_detail(row))
+                for row in self.log]
+
     def serialize(self) -> bytes:
         """Canonical byte form of the decision log (golden pinning)."""
         lines = [
-            f"{d.time_ms!r}|{d.kind}|{d.stream_key}|{d.array_id}"
-            f"|{d.detail}"
-            for d in self.decisions
+            f"{row[0]!r}|{row[1]}|{row[2]}|{row[3]}|{row_detail(row)}"
+            for row in self.log
         ]
         return "\n".join(lines).encode()
 
@@ -199,7 +235,7 @@ class ClusterController:
             array_id: {} for array_id in array_ids
         }
         self.rebuild_entries = 0
-        self._decisions: list[DecisionRecord] = []
+        self._log: list[tuple] = []
         self._timelines: dict[int, list[TimelineEntry]] = {
             array_id: [] for array_id in array_ids
         }
@@ -225,9 +261,9 @@ class ClusterController:
                 agenda.append((start, 0, array_id, "rebuild_start"))
                 agenda.append((end, 0, array_id, "rebuild_end"))
         for index, event in enumerate(
-                sorted(events, key=lambda e: e.time_ms)):
+                sorted(events, key=attrgetter("time_ms"))):
             agenda.append((event.time_ms, 1, index, event.spec))
-        agenda.sort(key=lambda item: (item[0], item[1], item[2]))
+        agenda.sort(key=itemgetter(0, 1, 2))
         for time_ms, order, key, payload in agenda:
             if order == 0:
                 if payload == "rebuild_start":
@@ -238,11 +274,9 @@ class ClusterController:
                 self._arrival(key, payload, time_ms)
         return ClusterPlan(
             config=self.config,
-            decisions=list(self._decisions),
+            log=list(self._log),
             timelines={
-                array_id: sorted(entries,
-                                 key=lambda e: (e.time_ms,
-                                                e.stream_key))
+                array_id: sorted(entries, key=_TIMELINE_ORDER)
                 for array_id, entries in self._timelines.items()
             },
             ledger=self.ledger,
@@ -266,34 +300,27 @@ class ClusterController:
         del self.streams[stream.stream_key]
         del self._by_array[stream.array_id][stream.stream_key]
 
-    def _log(self, time_ms: float, kind: str, stream_key: int,
-             array_id: int, detail: str = "") -> None:
-        self._decisions.append(DecisionRecord(
-            time_ms=time_ms, kind=kind, stream_key=stream_key,
-            array_id=array_id, detail=detail,
-        ))
+    def _note(self, time_ms: float, kind: str, stream_key: int,
+              array_id: int, detail: str) -> None:
+        self._log.append((time_ms, kind, stream_key, array_id, detail))
 
     # -- arrivals ----------------------------------------------------------
 
     def _arrival(self, stream_key: int, spec, time_ms: float) -> None:
         decision = self.admission.route(stream_key, spec)
-        if not decision.admitted:
-            self._log(time_ms, "reject", stream_key, -1,
-                      decision.reason)
+        array_id = decision.array_id
+        if array_id < 0:
+            self._log.append((time_ms, "reject", stream_key, -1,
+                              decision.rank))
             return
-        self._place(PlacedStream(
-            stream_key=stream_key,
-            array_id=decision.array_id,
-            spec=spec,
-            share=decision.share,
-            opened_ms=time_ms,
-        ))
-        self._timelines[decision.array_id].append(TimelineEntry(
-            time_ms=time_ms, action="open", stream_key=stream_key,
-            spec=spec,
-        ))
-        self._log(time_ms, decision.decision.value, stream_key,
-                  decision.array_id, decision.reason)
+        self._place(PlacedStream(stream_key, array_id, spec,
+                                 decision.share, time_ms))
+        self._timelines[array_id].append(
+            TimelineEntry(time_ms, "open", stream_key, spec))
+        # Rank 0 is an admit, any later rank a spill (RouteDecision).
+        self._log.append((time_ms, "spill" if decision.rank else "admit",
+                          stream_key, array_id, decision.reserved,
+                          decision.limit, decision.rank))
 
     # -- failure handling --------------------------------------------------
 
@@ -302,7 +329,7 @@ class ClusterController:
         self.admission.set_rebuilding(array_id, True)
         self.rebuild_entries += 1
         budget.capacity_factor = self.config.rebuild_capacity_factor
-        self._log(
+        self._note(
             time_ms, "rebuild_start", -1, array_id,
             f"advertised {budget.advertised_limit:.3f} "
             f"(x{self.config.rebuild_capacity_factor})",
@@ -319,16 +346,14 @@ class ClusterController:
         budget = self.budgets[array_id]
         self.admission.set_rebuilding(array_id, False)
         budget.capacity_factor = 1.0
-        self._log(time_ms, "rebuild_end", -1, array_id,
+        self._note(time_ms, "rebuild_end", -1, array_id,
                   f"advertised {budget.advertised_limit:.3f}")
 
     def _migrate(self, victim: PlacedStream, time_ms: float) -> None:
         """Drain ``victim`` and re-admit it on a healthy array."""
         self.admission.release(victim.array_id, victim.share)
-        self._timelines[victim.array_id].append(TimelineEntry(
-            time_ms=time_ms, action="close",
-            stream_key=victim.stream_key,
-        ))
+        self._timelines[victim.array_id].append(
+            TimelineEntry(time_ms, "close", victim.stream_key))
         resume_ms = time_ms + self.config.migration_pause_ms
         resumed = resume_spec(victim, resume_ms)
         decision = self.admission.route(
@@ -345,21 +370,18 @@ class ClusterController:
                 resume_ms=time_ms,
                 reason=decision.reason,
             ))
-            self._log(time_ms, "migrate_drop", victim.stream_key,
-                      victim.array_id, decision.reason)
+            self._note(time_ms, "migrate_drop", victim.stream_key,
+                       victim.array_id, decision.reason)
             return
         self._unplace(victim)
-        self._place(replace(
-            victim,
+        self._place(victim._replace(
             array_id=decision.array_id,
             spec=resumed,
             share=decision.share,
             opened_ms=resume_ms,
         ))
-        self._timelines[decision.array_id].append(TimelineEntry(
-            time_ms=resume_ms, action="open",
-            stream_key=victim.stream_key, spec=resumed,
-        ))
+        self._timelines[decision.array_id].append(
+            TimelineEntry(resume_ms, "open", victim.stream_key, resumed))
         record = MigrationRecord(
             stream_key=victim.stream_key,
             from_array=victim.array_id,
@@ -369,7 +391,7 @@ class ClusterController:
             reason=decision.reason,
         )
         self.ledger.record(record)
-        self._log(
+        self._note(
             time_ms, "migrate", victim.stream_key, victim.array_id,
             f"-> array {decision.array_id} "
             f"pause={record.interruption_ms:.0f}ms",

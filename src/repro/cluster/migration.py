@@ -22,11 +22,10 @@ counted separately (the fleet-level analogue of shedding).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class PlacedStream:
+class PlacedStream(NamedTuple):
     """One admitted stream, as the controller tracks it."""
 
     stream_key: int

@@ -105,6 +105,11 @@ class ConsistentHashPlacement(PlacementPolicy):
             raise ValueError("replicas must be >= 1")
         self._seed = seed
         self.replicas = replicas
+        # stable_hash(seed, "stream", key) hashes the repr of the label
+        # strings; for an int key that is this prefix, the key's digits
+        # and the closing quote, so only the digits are encoded per
+        # stream.
+        self._stream_prefix = repr((str(seed), "stream", ""))[:-2].encode()
         self._members: set[int] = set()
         #: Sorted ring points and their owning arrays (parallel lists).
         self._points: list[int] = []
@@ -142,11 +147,18 @@ class ConsistentHashPlacement(PlacementPolicy):
         self._points = [p for p, _ in keep]
         self._owners = [o for _, o in keep]
 
+    def stream_point(self, stream_key: int) -> int:
+        """``stable_hash(seed, "stream", stream_key)`` for an int key."""
+        digest = hashlib.sha256(
+            self._stream_prefix + str(stream_key).encode() + b"')"
+        ).digest()
+        return int.from_bytes(digest[:8], "big")
+
     def assign(self, stream_key: int) -> int:
         """First-choice array for ``stream_key`` (ring successor)."""
         if not self._points:
             raise RuntimeError("ring has no members")
-        point = stable_hash(self._seed, "stream", stream_key)
+        point = self.stream_point(stream_key)
         index = bisect.bisect_right(self._points, point)
         return self._owners[index % len(self._owners)]
 
@@ -154,8 +166,8 @@ class ConsistentHashPlacement(PlacementPolicy):
         """Clockwise walk from the stream's point: distinct owners."""
         if not self._points:
             return
-        point = stable_hash(self._seed, "stream", stream_key)
-        start = bisect.bisect_right(self._points, point)
+        start = bisect.bisect_right(self._points,
+                                    self.stream_point(stream_key))
         owners = self._owners
         n = len(owners)
         seen: set[int] = set()

@@ -16,6 +16,7 @@ that the *expected seek over uniformly random request pairs* and the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,7 @@ def _mean_over_random_pairs(model: SeekModel) -> float:
     return float(np.add.accumulate(terms)[-1])
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def fit_seek_model(cylinders: int, average_ms: float, maximum_ms: float,
                    settle_ms: float = 1.5,
                    knee_fraction: float = 0.25) -> SeekModel:
@@ -93,6 +95,10 @@ def fit_seek_model(cylinders: int, average_ms: float, maximum_ms: float,
     distance.  A pairwise sum or a closed-form solve for ``b`` lands on
     a different last bit, and the simulator fingerprints and golden
     traces record that bit.
+
+    The fit depends only on its arguments and the model is frozen, so
+    results are memoized: every disk built from the same data sheet
+    shares one fit instead of rerunning the 80-step bisection.
     """
     if cylinders < 2:
         raise ValueError("need at least 2 cylinders to seek")

@@ -631,7 +631,7 @@ def bench_cluster_scale(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
             return controller.run(events, cspec.until_ms)
 
         decide_s, plan = _best_of(decide, min(spec.repeats, 2))
-        decisions = len(plan.decisions)
+        decisions = len(plan.log)
         per_decision_us[arrays] = (
             decide_s / decisions * 1e6 if decisions else 0.0
         )

@@ -607,10 +607,11 @@ def loads(admission: GlobalAdmission) -> list[ArrayLoad]:
     ]
 
 
-def route_scan(admission: GlobalAdmission, stream_key: int, spec,
-               *, exclude: frozenset[int] = frozenset(),
-               count: bool = True) -> ClusterDecision:
-    """Reference for :meth:`repro.cluster.GlobalAdmission.route`.
+def scan_decide(admission: GlobalAdmission, stream_key: int, spec,
+                *, exclude: frozenset[int] = frozenset(),
+                count: bool = True) -> tuple[ClusterDecision, str]:
+    """Reference for :meth:`repro.cluster.GlobalAdmission.route`, with
+    the decision-log reason this oracle formats itself.
 
     Builds every load snapshot, ranks the whole fleet and walks the
     order, pricing the stream on each array -- O(arrays) per decision.
@@ -631,28 +632,38 @@ def route_scan(admission: GlobalAdmission, stream_key: int, spec,
                     admission.counters.admitted += 1
                 else:
                     admission.counters.spillovers += 1
+            reason = (f"array {array_id} reserved "
+                      f"{budget.reserved:.3f}"
+                      f"/{budget.advertised_limit:.3f}"
+                      + (f" after {rank} spills" if rank else ""))
             return ClusterDecision(
                 decision=decision,
                 array_id=array_id,
                 share=share,
                 rank=rank,
                 preferred=preferred,
-                reason=(f"array {array_id} reserved "
-                        f"{budget.reserved:.3f}"
-                        f"/{budget.advertised_limit:.3f}"
-                        + (f" after {rank} spills" if rank else "")),
-            )
+                reserved=budget.reserved,
+                limit=budget.advertised_limit,
+            ), reason
     if count:
         admission.counters.rejected += 1
+    reason = f"no array budget fits (tried {len(preferred)} arrays)"
     return ClusterDecision(
         decision=RouteDecision.REJECT,
         array_id=-1,
         share=0.0,
         rank=len(preferred),
         preferred=preferred,
-        reason="no array budget fits "
-               f"(tried {len(preferred)} arrays)",
-    )
+    ), reason
+
+
+def route_scan(admission: GlobalAdmission, stream_key: int, spec,
+               *, exclude: frozenset[int] = frozenset(),
+               count: bool = True) -> ClusterDecision:
+    """:func:`scan_decide`'s decision alone: the drop-in replacement
+    for :meth:`repro.cluster.GlobalAdmission.route`."""
+    return scan_decide(admission, stream_key, spec, exclude=exclude,
+                       count=count)[0]
 
 
 @contextmanager

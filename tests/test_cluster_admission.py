@@ -57,6 +57,21 @@ class TestArrayBudget:
         assert budget.streams == 0
         assert budget.reserved == pytest.approx(0.0)
 
+    def test_release_without_a_stream_is_an_error(self, disk):
+        """Releasing more streams than were reserved fails loudly and
+        leaves the budget untouched."""
+        admission = ReservationAdmission(
+            disk, target_utilization=0.85, downgrade_limit=0.85,
+            priority_levels=8)
+        budget = ArrayBudget(0, admission)
+        share = budget.share_for(MPEG)
+        budget.reserve(share)
+        budget.release(share)
+        with pytest.raises(ValueError, match="no stream to release"):
+            budget.release(share)
+        assert budget.streams == 0
+        assert budget.reserved == 0.0
+
 
 class TestGlobalAdmission:
     def test_first_choice_admit(self, disk):

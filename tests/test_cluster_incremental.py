@@ -40,7 +40,7 @@ from repro.experiments.cluster_demo import (
 from repro.serve import StreamSpec
 from repro.serve.admission import ReservationAdmission
 
-from .legacy_oracle import route_scan, scan_admission
+from .legacy_oracle import scan_admission, scan_decide
 from .test_cluster_golden import GOLDEN_DIR, GOLDEN_SPEC
 
 
@@ -58,16 +58,18 @@ def build_admission(disk, arrays, placement):
     return GlobalAdmission(policy, budgets)
 
 
-def decision_fields(decision):
+def decision_fields(decision, reason):
     """Everything both paths must agree on.
 
+    ``reason`` is the shipped decision's ``.reason`` (formatted on read
+    from its fields) or the string the oracle formatted itself.
     ``preferred`` is deliberately omitted: the shipped route returns
     the prefix of the preference order it actually consulted, the scan
     the full order — the decision log records neither beyond the
     reason.
     """
     return (decision.decision, decision.array_id, decision.share,
-            decision.rank, decision.reason)
+            decision.rank, decision.reserved, decision.limit, reason)
 
 
 def plan_of(spec, *, oracle):
@@ -107,8 +109,9 @@ def test_mixed_script_decisions_identical(disk, placement):
             exclude = (frozenset({rng.randrange(5)})
                        if rng.random() < 0.1 else frozenset())
             got = fast.route(key, spec, exclude=exclude)
-            want = route_scan(scan, key, spec, exclude=exclude)
-            assert decision_fields(got) == decision_fields(want), step
+            want = scan_decide(scan, key, spec, exclude=exclude)
+            assert decision_fields(got, got.reason) \
+                == decision_fields(*want), step
             kinds.add(got.decision)
             if got.admitted:
                 placed[key] = (got.array_id, got.share)
