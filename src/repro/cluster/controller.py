@@ -28,6 +28,7 @@ argument as :mod:`repro.parallel.runner`.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -147,9 +148,10 @@ class ClusterPlan:
     """Everything the controller decided, ready for the serving tier."""
 
     config: ClusterConfig
-    #: The decision log as rows of plain atoms (see :func:`row_detail`);
-    #: read :attr:`decisions` for :class:`DecisionRecord` views.
-    log: list[tuple] = field(default_factory=list)
+    #: The decision log as an immutable tuple of rows of plain atoms
+    #: (see :func:`row_detail`); read :attr:`decisions` for
+    #: :class:`DecisionRecord` views.
+    log: tuple[tuple, ...] = ()
     #: array id -> time-ordered open/close script.
     timelines: dict[int, list[TimelineEntry]] = field(
         default_factory=dict)
@@ -160,6 +162,9 @@ class ClusterPlan:
     reserved: dict[int, float] = field(default_factory=dict)
     #: array id -> streams resident when the replay ended.
     resident: dict[int, int] = field(default_factory=dict)
+    #: ``(log, SHA-256 of its serialize() bytes)``, set by serialize().
+    _sha256: tuple[tuple, object] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def accepted(self) -> int:
@@ -175,12 +180,30 @@ class ClusterPlan:
                 for row in self.log]
 
     def serialize(self) -> bytes:
-        """Canonical byte form of the decision log (golden pinning)."""
-        lines = [
+        """Canonical byte form of the decision log (golden pinning).
+
+        Also keeps the bytes' SHA-256 for :meth:`sha256` while
+        :attr:`log` is the same tuple, so a caller that needs both
+        formats the log once.  The bytes themselves are not kept: on
+        the 16-array fleet they would hold ~2 MB for the plan's life.
+        """
+        log = self.log
+        data = "\n".join([
             f"{row[0]!r}|{row[1]}|{row[2]}|{row[3]}|{row_detail(row)}"
-            for row in self.log
-        ]
-        return "\n".join(lines).encode()
+            for row in log
+        ]).encode()
+        if type(log) is tuple:
+            self._sha256 = (log, hashlib.sha256(data))
+        return data
+
+    def sha256(self):
+        """A fresh SHA-256 hasher fed :meth:`serialize`'s bytes, which
+        the caller may extend; formats the log only if no
+        :meth:`serialize` call since :attr:`log` was set did."""
+        cached = self._sha256
+        if cached is None or cached[0] is not self.log:
+            return hashlib.sha256(self.serialize())
+        return cached[1].copy()
 
 
 class ClusterController:
@@ -274,7 +297,7 @@ class ClusterController:
                 self._arrival(key, payload, time_ms)
         return ClusterPlan(
             config=self.config,
-            log=list(self._log),
+            log=tuple(self._log),
             timelines={
                 array_id: sorted(entries, key=_TIMELINE_ORDER)
                 for array_id, entries in self._timelines.items()

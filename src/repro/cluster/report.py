@@ -88,7 +88,7 @@ class FleetReport:
         — must produce the same fingerprint; the demo self-check and
         the golden cluster trace pin exactly this.
         """
-        digest = hashlib.sha256(self.plan.serialize())
+        digest = self.plan.sha256()
         for report in sorted(self.arrays, key=lambda a: a.array_id):
             digest.update(f"|{report.array_id}:".encode())
             digest.update(report.trace_digest.encode())

@@ -587,11 +587,13 @@ def prefer(placement: PlacementPolicy, stream_key: int,
     start = bisect.bisect_right(
         points, stable_hash(placement._seed, "stream", stream_key))
     order: list[int] = []
+    seen: set[int] = set()
     for step in range(len(owners)):
         if len(order) == len(eligible):
             break
         owner = owners[(start + step) % len(owners)]
-        if owner in eligible and owner not in order:
+        if owner in eligible and owner not in seen:
+            seen.add(owner)
             order.append(owner)
     return tuple(order)
 

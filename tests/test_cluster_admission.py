@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster import (
@@ -70,6 +72,51 @@ class TestArrayBudget:
         with pytest.raises(ValueError, match="no stream to release"):
             budget.release(share)
         assert budget.streams == 0
+        assert budget.reserved == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       -0.5])
+    def test_bad_reserved_write_is_an_error(self, disk, value):
+        """A NaN, infinite or negative ``reserved`` write fails loudly
+        and leaves the budget (and its listeners) untouched."""
+        budget = ArrayBudget(0, ReservationAdmission(
+            disk, target_utilization=0.85, downgrade_limit=0.85,
+            priority_levels=8))
+        budget.reserved = 0.25
+        seen = []
+        budget.subscribe(seen.append)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            budget.reserved = value
+        assert budget.reserved == 0.25
+        assert seen == []
+
+    @pytest.mark.parametrize("share", [math.nan, math.inf, -0.1])
+    def test_bad_share_is_an_error(self, disk, share):
+        """``reserve``/``release`` refuse a NaN, infinite or negative
+        share and leave the budget untouched."""
+        budget = ArrayBudget(0, ReservationAdmission(
+            disk, target_utilization=0.85, downgrade_limit=0.85,
+            priority_levels=8))
+        good = budget.share_for(MPEG)
+        budget.reserve(good)
+        for method in (budget.reserve, budget.release):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                method(share)
+            assert budget.streams == 1
+            assert budget.reserved == good
+
+    def test_release_clamps_float_rounding(self, disk):
+        """The last release of a sum of shares lands on exactly zero,
+        not a few ulps below it."""
+        budget = ArrayBudget(0, ReservationAdmission(
+            disk, target_utilization=0.85, downgrade_limit=0.85,
+            priority_levels=8))
+        shares = [0.3, 0.6, 0.1]
+        assert sum(shares) - 0.3 - 0.6 - 0.1 < 0.0
+        for share in shares:
+            budget.reserve(share)
+        for share in shares:
+            budget.release(share)
         assert budget.reserved == 0.0
 
 

@@ -12,9 +12,11 @@ prefix) bit for bit against the functions they replace.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +27,11 @@ from repro.cluster import (
     DecisionRecord,
     GlobalAdmission,
     TimelineEntry,
+    build_report,
     make_placement,
     stable_hash,
 )
+from repro.cluster import controller as controller_module
 from repro.disk.disk import FILE_BLOCK_BYTES, make_xp32150_disk
 from repro.experiments.cluster_demo import (
     ClusterSpec,
@@ -35,6 +39,7 @@ from repro.experiments.cluster_demo import (
     fault_plans,
     make_config,
 )
+from repro.experiments.history import cluster_trace
 from repro.serve import StreamSpec
 from repro.serve.admission import ReservationAdmission
 
@@ -94,6 +99,45 @@ def test_decisions_view_and_serialize_match_golden():
         for d in plan.decisions
     ).encode()
     assert view == golden
+
+
+def test_recorded_run_formats_the_plan_once():
+    """Recording a run reads the serialized plan three times (the
+    trace, the fingerprint inside it, the report's JSON); the rows are
+    formatted once and the bytes are the golden trace's."""
+    golden = (GOLDEN_DIR / "cluster_trace.txt").read_bytes()
+    golden = golden.rstrip(b"\n")
+    plan = run_plan(GOLDEN_SPEC)
+    report = build_report(plan, [])
+    with mock.patch.object(controller_module, "row_detail",
+                           wraps=controller_module.row_detail) as spy:
+        trace = cluster_trace(report)
+        data = report.as_dict()
+    assert spy.call_count == len(plan.log) > 0
+    fingerprint = report.fingerprint()
+    assert trace == golden + b"\nfingerprint|" + fingerprint.encode()
+    assert data["fingerprint"] == fingerprint
+
+
+def test_replaced_log_is_never_served_stale():
+    """The plan's log is an immutable tuple; replacing it re-formats the
+    plan, so the report's fingerprint follows the new log."""
+    plan = run_plan(GOLDEN_SPEC)
+    report = build_report(plan, [])
+    full, fingerprint = plan.serialize(), report.fingerprint()
+    with pytest.raises(AttributeError):
+        plan.log.append(plan.log[0])
+    plan.log = plan.log[:-1]
+    assert plan.serialize() == full.rsplit(b"\n", 1)[0]
+    assert report.fingerprint() != fingerprint
+    # A copy of the plan starts with no cached bytes.
+    assert report.fingerprint() \
+        == build_report(dataclasses.replace(plan), []).fingerprint()
+    # A list log is formatted on every read, so appends show up too.
+    plan.log = list(plan.log)
+    plan.log.append(run_plan(GOLDEN_SPEC).log[-1])
+    assert plan.serialize() == full
+    assert report.fingerprint() == fingerprint
 
 
 def test_read_side_details_match_the_oracle_reasons():
